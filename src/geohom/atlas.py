@@ -17,7 +17,12 @@ import random
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .exact_geometry import COORDINATE_LIMIT
+from .exact_geometry import (
+    COORDINATE_LIMIT,
+    crossing_mask,
+    disjoint_edge_pairs,
+    orientation_signs,
+)
 from .graph_core import (
     AbstractGraph,
     ParseError,
@@ -42,8 +47,8 @@ from .morphisms import geo_isomorphic
 from .realization import (
     GeometricRealization,
     bipartitions_of_6,
-    crossing_structure,
     make_realization,
+    rational_crossing_structure,
     realization_from_json,
     realization_to_json,
 )
@@ -57,6 +62,10 @@ class BudgetExhausted(RuntimeError):
     def __init__(self, atlas: "Atlas", message: str):
         super().__init__(message)
         self.atlas = atlas
+
+
+class ConfigError(ValueError):
+    """An enumeration or check parameter lies outside its valid range."""
 
 
 class AnchorConflict(RuntimeError):
@@ -77,15 +86,15 @@ class EnumerationConfig:
 
     def __post_init__(self):
         if self.mode not in ("random", "grid"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if not 2 <= self.coordinate_bound <= COORDINATE_LIMIT:
-            raise ValueError(
+            raise ConfigError(
                 f"coordinate bound must lie in [2, {COORDINATE_LIMIT}]"
             )
         if self.stabilization_window < 1:
-            raise ValueError("stabilization window must be positive")
+            raise ConfigError("stabilization window must be positive")
         if self.max_samples < 1:
-            raise ValueError("sample budget must be positive")
+            raise ConfigError("sample budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,29 +135,23 @@ def crossing_histogram(atlas: Atlas) -> dict[int, int]:
 
 _K6_GRAPH = complete_graph(6)
 _K6_EDGES = _K6_GRAPH.sorted_edges()
-_K6_EDGE_INDEX = {e: i for i, e in enumerate(_K6_EDGES)}
-
-# vertex-disjoint edge pairs of K_6, the crossing candidates
+# vertex-disjoint edge pairs of K_6 as edge indices, one per crossing_mask bit
 _K6_PAIRS = [
-    (i, j)
-    for (i, j) in combinations(range(len(_K6_EDGES)), 2)
-    if not set(_K6_EDGES[i]) & set(_K6_EDGES[j])
-]
-_K6_PAIR_BIT = {pair: bit for bit, pair in enumerate(_K6_PAIRS)}
-_K6_PAIRS_EXPANDED = [
-    (i, j, *_K6_EDGES[i], *_K6_EDGES[j]) for i, j in _K6_PAIRS
+    (_K6_EDGES.index(e), _K6_EDGES.index(f)) for e, f in disjoint_edge_pairs(6)
 ]
 
 _K33_GRAPH = complete_bipartite_graph(3, 3)
 _K33_PARTS = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
 _K33_EDGES = _K33_GRAPH.sorted_edges()
-_K33_EDGE_INDEX = {e: i for i, e in enumerate(_K33_EDGES)}
+# vertex-disjoint edge pairs of K_{3,3}: the K_6 pairs of two K_{3,3} edges
 _K33_PAIRS = [
-    (i, j)
-    for (i, j) in combinations(range(len(_K33_EDGES)), 2)
-    if not set(_K33_EDGES[i]) & set(_K33_EDGES[j])
+    (_K33_EDGES.index(e), _K33_EDGES.index(f))
+    for e, f in disjoint_edge_pairs(6)
+    if e in _K33_GRAPH.edges and f in _K33_GRAPH.edges
 ]
-_K33_PAIR_BIT = {pair: bit for bit, pair in enumerate(_K33_PAIRS)}
+_K33_PAIR_BIT = {
+    (_K33_EDGES[i], _K33_EDGES[j]): bit for bit, (i, j) in enumerate(_K33_PAIRS)
+}
 
 
 def _bipartition_tables():
@@ -156,64 +159,21 @@ def _bipartition_tables():
     disjoint K_6 edge pair, the K_{3,3} crossing bit it feeds (or -1)."""
     tables = []
     for first, second in bipartitions_of_6():
-        part0, part1 = sorted(first), sorted(second)
         perm = [0] * 6
-        for new, old in enumerate(part0):
+        for new, old in enumerate(sorted(first) + sorted(second)):
             perm[old] = new
-        for new, old in enumerate(part1):
-            perm[old] = 3 + new
-        bitmap = [-1] * len(_K6_PAIRS)
-        for d, (ei, fi) in enumerate(_K6_PAIRS):
-            mapped = []
-            for edge_idx in (ei, fi):
-                u, v = _K6_EDGES[edge_idx]
-                cross_part = (u in first) != (v in first)
-                if not cross_part:
-                    break
-                nu, nv = perm[u], perm[v]
-                mapped.append(_K33_EDGE_INDEX[(min(nu, nv), max(nu, nv))])
-            if len(mapped) == 2:
-                a, b = sorted(mapped)
-                bitmap[d] = _K33_PAIR_BIT[(a, b)]
-        tables.append((tuple(perm), tuple(bitmap)))
+        relabel = {(u, v): tuple(sorted((perm[u], perm[v]))) for u, v in _K6_EDGES}
+        # an edge inside a part relabels to no K_{3,3} edge, so its pairs
+        # have no bit
+        bitmap = tuple(
+            _K33_PAIR_BIT.get(tuple(sorted((relabel[e], relabel[f]))), -1)
+            for e, f in disjoint_edge_pairs(6)
+        )
+        tables.append((tuple(perm), bitmap))
     return tables
 
 
 _BIPARTITION_TABLES = _bipartition_tables()
-
-
-def _edge_sides(pts):
-    """sides[edge][w] = orientation of vertex w against the edge's line.
-
-    Returns None when any triple is collinear or points repeat (a zero
-    determinant), i.e. the configuration is degenerate.
-    """
-    sides = []
-    for u, v in _K6_EDGES:
-        ux, uy = pts[u]
-        vx, vy = pts[v]
-        dx, dy = vx - ux, vy - uy
-        row = [0] * 6
-        for w in range(6):
-            if w == u or w == v:
-                continue
-            det = dx * (pts[w][1] - uy) - dy * (pts[w][0] - ux)
-            if det > 0:
-                row[w] = 1
-            elif det < 0:
-                row[w] = -1
-            else:
-                return None
-        sides.append(row)
-    return sides
-
-
-def _k6_crossing_mask(sides) -> int:
-    mask = 0
-    for d, (ei, fi, a, b, c, e) in enumerate(_K6_PAIRS_EXPANDED):
-        if sides[ei][c] != sides[ei][e] and sides[fi][a] != sides[fi][b]:
-            mask |= 1 << d
-    return mask
 
 
 def _iter_bits(mask: int):
@@ -247,15 +207,13 @@ class _Dedup:
     """Raw-mask memo plus exact isomorphism resolution within buckets."""
 
     def __init__(self, target: str):
-        self.target = target
         if target == "k33":
-            self.pairs, self.edges, self.n = _K33_PAIRS, _K33_EDGES, 6
+            self.pairs, self.edges = _K33_PAIRS, _K33_EDGES
         else:
-            self.pairs, self.edges, self.n = _K6_PAIRS, _K6_EDGES, 6
+            self.pairs, self.edges = _K6_PAIRS, _K6_EDGES
         self.mask_to_class: dict[int, int] = {}
         self.buckets: dict[tuple, list[int]] = {}
         self.reps: list[GeometricRealization] = []
-        self.first_masks: list[int] = []
         self.counts: list[int] = []
 
     def observe(self, mask: int, materialize) -> bool:
@@ -265,7 +223,7 @@ class _Dedup:
             self.counts[hit] += 1
             return False
         candidate = materialize()
-        key = _cheap_key(mask, self.pairs, self.edges, self.n)
+        key = _cheap_key(mask, self.pairs, self.edges, 6)
         bucket = self.buckets.setdefault(key, [])
         for idx in bucket:
             if geo_isomorphic(candidate, self.reps[idx]) is not None:
@@ -277,12 +235,11 @@ class _Dedup:
             (self.edges[i], self.edges[j])
             for i, j in (self.pairs[b] for b in _iter_bits(mask))
         )
-        if crossing_structure(candidate).pairs != expected:
+        if rational_crossing_structure(candidate).pairs != expected:
             raise AssertionError(
-                "crossing mask disagrees with the segment predicate"
+                "crossing mask disagrees with the rational predicate"
             )
         self.reps.append(candidate)
-        self.first_masks.append(mask)
         self.counts.append(1)
         self.mask_to_class[mask] = idx
         bucket.append(idx)
@@ -343,11 +300,11 @@ def enumerate_classes(target: str, cfg: EnumerationConfig | None = None) -> Atla
     quiet = 0
     complete = False
     for pts in _point_sets(cfg):
-        sides = _edge_sides(pts)
-        if sides is None:
+        signs = orientation_signs(pts)
+        if 0 in signs:
             continue
         samples += 1
-        k6_mask = _k6_crossing_mask(sides)
+        k6_mask = crossing_mask(signs, 6)
         new_class = False
         if target == "k6":
             new_class = dedup.observe(
@@ -570,6 +527,8 @@ def save_atlas(atlas: Atlas, path) -> None:
 
 
 def atlas_from_json(text: str) -> Atlas:
+    """Parse an atlas, recomputing each stored signature from its
+    representative; any mismatch is a ParseError."""
     try:
         records = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -602,6 +561,10 @@ def atlas_from_json(text: str) -> Atlas:
             sig = signature_from_dict(record["signature"])
         except (ParseError, ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
+        if signature(rep) != sig:
+            raise ParseError(
+                f"{where}: stored signature does not match its representative"
+            )
         record_target = "k33" if rep.parts is not None else "k6"
         if target is None:
             target = record_target

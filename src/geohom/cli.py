@@ -2,22 +2,24 @@
 
 All randomness flows from the --seed flags, so identical invocations
 produce byte-identical output files.  Exit codes: 0 success, 1 failure
-(or I/O error), 2 incomplete enumeration or usage error.
+(or an unreadable, invalid or unwritable file), 2 incomplete enumeration
+or usage error (including an out-of-range flag value).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .atlas import (
     Atlas,
     BudgetExhausted,
+    ConfigError,
     EnumerationConfig,
     UnknownLabel,
     assign_paper_labels,
+    atlas_to_json,
     crossing_histogram,
     enumerate_classes,
     load_atlas,
@@ -29,25 +31,8 @@ from .invariants import (
     line_crossing_graph_to_dot,
 )
 from .morphisms import hom_query
-from .poset import build_poset, hasse_to_dot, poset_to_json
+from .poset import hasse_to_dot, poset_to_json
 from .verify import pin_reference_labels, run_verification
-
-_THREADS_VAR = "GEOHOM_THREADS"
-
-
-def _worker_cap() -> int | None:
-    """Validated GEOHOM_THREADS value (an upper bound on parallelism;
-    the current implementation computes on a single worker)."""
-    raw = os.environ.get(_THREADS_VAR)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"{_THREADS_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise SystemExit(f"{_THREADS_VAR} must be at least 1, got {value}")
-    return value
 
 
 def _add_enumeration_flags(parser: argparse.ArgumentParser) -> None:
@@ -85,24 +70,16 @@ def _histogram_text(atlas: Atlas) -> str:
     return " ".join(f"{k}:{v}" for k, v in hist.items())
 
 
-def _pinned_atlas_and_poset(args):
-    """Load or build a complete k33 atlas and pin its labels."""
+def _pinned(args):
+    """Load or build a complete k33 atlas and pin its labels: the pinned
+    atlas, its order and the cover mismatches."""
     if getattr(args, "atlas", None):
         atlas = load_atlas(args.atlas)
         if atlas.target != "k33":
             raise SystemExit("label queries need a k33 atlas")
     else:
         atlas = enumerate_classes("k33", _config_from(args))
-    from dataclasses import replace
-
-    unlabeled = Atlas(
-        atlas.target,
-        [replace(c, label=None, provisional=True) for c in atlas.classes],
-        atlas.complete,
-    )
-    labeled = assign_paper_labels(unlabeled)
-    pinned, _ = pin_reference_labels(labeled, build_poset(labeled))
-    return pinned, build_poset(pinned)
+    return pin_reference_labels(atlas)
 
 
 def cmd_enumerate(args) -> int:
@@ -130,21 +107,17 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results, _ = run_verification(
-            args.seed,
-            args.seed2,
-            window=args.window,
-            max_samples=args.max_samples,
-            bound=args.bound,
-            atlas_path=args.atlas,
-            poset_path=args.poset,
-            parity_sets=args.parity_sets,
-            oracle_quadruples=args.quadruples,
-        )
-    except BudgetExhausted as exc:
-        print(f"incomplete: {exc}", file=sys.stderr)
-        return 2
+    results, _ = run_verification(
+        args.seed,
+        args.seed2,
+        window=args.window,
+        max_samples=args.max_samples,
+        bound=args.bound,
+        atlas_path=args.atlas,
+        poset_path=args.poset,
+        parity_sets=args.parity_sets,
+        oracle_quadruples=args.quadruples,
+    )
     for result in results:
         print(result.line())
     failing = [r for r in results if not r.passed]
@@ -155,19 +128,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    try:
-        pinned, _ = _pinned_atlas_and_poset(args)
-        src = pinned.find(args.src)
-        dst = pinned.find(args.dst)
-    except UnknownLabel as exc:
-        print(f"error: unknown label {exc}", file=sys.stderr)
-        return 1
-    except BudgetExhausted as exc:
-        print(f"incomplete: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    pinned, _, _ = _pinned(args)
+    src = pinned.find(args.src)
+    dst = pinned.find(args.dst)
     result = hom_query(
         src.representative, dst.representative, args.src, args.dst
     )
@@ -191,30 +154,14 @@ def _write_or_print(text: str, out) -> int:
 
 
 def cmd_poset(args) -> int:
-    try:
-        _, poset = _pinned_atlas_and_poset(args)
-    except BudgetExhausted as exc:
-        print(f"incomplete: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _, poset, _ = _pinned(args)
     text = poset_to_json(poset) if args.format == "json" else hasse_to_dot(poset)
     return _write_or_print(text, args.out)
 
 
 def cmd_export(args) -> int:
-    try:
-        pinned, poset = _pinned_atlas_and_poset(args)
-    except BudgetExhausted as exc:
-        print(f"incomplete: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    pinned, poset, _ = _pinned(args)
     if args.what == "atlas":
-        from .atlas import atlas_to_json
-
         return _write_or_print(atlas_to_json(pinned), args.out)
     if args.what == "hasse":
         text = (
@@ -224,11 +171,7 @@ def cmd_export(args) -> int:
     if args.label is None:
         print("error: --label is required for ex/lex exports", file=sys.stderr)
         return 1
-    try:
-        cls = pinned.find(args.label)
-    except UnknownLabel:
-        print(f"error: unknown label {args.label!r}", file=sys.stderr)
-        return 1
+    cls = pinned.find(args.label)
     if args.what == "ex":
         return _write_or_print(edge_crossing_graph_to_dot(cls.representative), args.out)
     return _write_or_print(line_crossing_graph_to_dot(cls.representative), args.out)
@@ -240,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Exact crossing structures, invariants, and the homomorphism"
             " order of straight-line drawings of K_{3,3} and K_6."
-        ),
-        epilog=(
-            f"{_THREADS_VAR} caps the worker count (computation currently"
-            " runs on a single worker; results never depend on it)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -302,12 +241,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _worker_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "enumerate" and args.out is None:
         args.out = f"atlas_{args.graph}.json"
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except ConfigError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        code = 2
+    except BudgetExhausted as exc:
+        print(f"incomplete: {exc}", file=sys.stderr)
+        code = 2
+    except UnknownLabel as exc:
+        print(f"error: unknown label {exc}", file=sys.stderr)
+        code = 1
+    except (ParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
     if argv is None:
         sys.exit(code)
     return code

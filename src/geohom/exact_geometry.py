@@ -4,12 +4,18 @@ Everything here is pure integer arithmetic: no floats, no epsilons.  An
 orientation test is the sign of a 3x3 determinant of coordinate
 differences, so with coordinates bounded by 2**20 every intermediate
 value fits comfortably in a machine word even outside CPython.
+
+Every crossing decision comes from one table, the chirotope: the signs
+of all index triples of a point set (``orientation_signs``).  Disjoint
+segments ab and cd cross iff c, d lie on opposite sides of ab and a, b
+lie on opposite sides of cd (``crossing_mask``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 COORDINATE_LIMIT = 1 << 20
@@ -64,12 +70,62 @@ def orient(p: Point, q: Point, r: Point) -> int:
     +1 when p, q, r make a counterclockwise turn, -1 for clockwise,
     0 when collinear.
     """
-    det = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return orientation_signs([(p.x, p.y), (q.x, q.y), (r.x, r.y)])[0]
+
+
+@cache
+def triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Index triples i < j < k of n points, in combinations order."""
+    return tuple(combinations(range(n), 3))
+
+
+def orientation_signs(pts) -> list[int]:
+    """The chirotope: orient() of every triple in triples(len(pts)), on
+    plain (x, y) int pairs.  A 0 marks a collinear or repeated point."""
+    signs = []
+    for i, j, k in triples(len(pts)):
+        (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
+        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        signs.append((det > 0) - (det < 0))
+    return signs
+
+
+@cache
+def disjoint_edge_pairs(n: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """Vertex-disjoint edge pairs (e, f), e < f, of K_n in combinations
+    order of its sorted edges: bit d of crossing_mask is pair d."""
+    edges = list(combinations(range(n), 2))
+    return tuple((e, f) for e, f in combinations(edges, 2) if not set(e) & set(f))
+
+
+@cache
+def _side_tests(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """Per pair ab, cd of disjoint_edge_pairs(n): (t1, t2, r1, t3, t4, r2)
+    with c, d on opposite sides of ab iff signs[t1] * signs[t2] == r1,
+    and a, b on opposite sides of cd iff signs[t3] * signs[t4] == r2."""
+    index = {t: pos for pos, t in enumerate(triples(n))}
+
+    def side(u, v, w):
+        # orient(u, v, w) is the sign of the sorted triple times the
+        # parity of the permutation that sorts (u, v, w)
+        return index[tuple(sorted((u, v, w)))], (-1) ** ((u > v) + (u > w) + (v > w))
+
+    tests = []
+    for (a, b), (c, d) in disjoint_edge_pairs(n):
+        (t1, p1), (t2, p2) = side(a, b, c), side(a, b, d)
+        (t3, p3), (t4, p4) = side(c, d, a), side(c, d, b)
+        tests.append((t1, t2, -p1 * p2, t3, t4, -p3 * p4))
+    return tuple(tests)
+
+
+def crossing_mask(signs: list[int], n: int) -> int:
+    """Bit d set iff pair d of disjoint_edge_pairs(n) properly crosses, for
+    the point set with these orientation_signs; a zero sign never crosses."""
+    mask = 0
+    for bit, (t1, t2, r1, t3, t4, r2) in enumerate(_side_tests(n)):
+        if signs[t1] * signs[t2] == r1 and signs[t3] * signs[t4] == r2:
+            mask |= 1 << bit
+    return mask
 
 
 def find_general_position_violation(
@@ -81,9 +137,9 @@ def find_general_position_violation(
         if p in seen:
             return ("duplicate", (seen[p], i))
         seen[p] = i
-    for i, j, k in combinations(range(len(pts)), 3):
-        if orient(pts[i], pts[j], pts[k]) == 0:
-            return ("collinear", (i, j, k))
+    signs = orientation_signs([(p.x, p.y) for p in pts])
+    if 0 in signs:
+        return ("collinear", triples(len(pts))[signs.index(0)])
     return None
 
 
@@ -96,16 +152,11 @@ def proper_cross(s: Segment, t: Segment) -> bool:
     """True iff the open interiors of s and t intersect.
 
     Segments sharing an endpoint never properly cross.  Symmetric in its
-    arguments; total even on degenerate input (collinear tests give 0 and
-    the strict sign comparisons then fail).
+    arguments; total even on degenerate input (a zero orientation sign
+    never yields a crossing).
     """
-    if len({s.a, s.b, t.a, t.b}) < 4:
-        return False
-    o1 = orient(s.a, s.b, t.a)
-    o2 = orient(s.a, s.b, t.b)
-    o3 = orient(t.a, t.b, s.a)
-    o4 = orient(t.a, t.b, s.b)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    pts = [(p.x, p.y) for p in (s.a, s.b, t.a, t.b)]
+    return crossing_mask(orientation_signs(pts), 4) & 1 == 1
 
 
 def segments_cross_rational(s: Segment, t: Segment) -> bool:

@@ -22,7 +22,6 @@ from .graph_core import (
     chromatic_number,
 )
 from .realization import (
-    CrossingStructure,
     Edge,
     GeometricRealization,
     crossing_structure,
@@ -63,9 +62,10 @@ class InvariantSignature:
         )
 
 
-def _per_edge_counts(r: GeometricRealization, cs: CrossingStructure) -> dict[Edge, int]:
+def per_edge_crossing_counts(r: GeometricRealization) -> dict[Edge, int]:
+    """Number of edges crossing each edge, keyed in sorted edge order."""
     counts = {e: 0 for e in r.graph.sorted_edges()}
-    for e, f in cs:
+    for e, f in crossing_structure(r):
         counts[e] += 1
         counts[f] += 1
     return counts
@@ -86,7 +86,7 @@ def cr_edge(r: GeometricRealization, e: Edge) -> int:
 
 def uncrossed_subgraph(r: GeometricRealization) -> AbstractGraph:
     """Subgraph on the same vertices keeping only crossing-free edges."""
-    counts = _per_edge_counts(r, crossing_structure(r))
+    counts = per_edge_crossing_counts(r)
     return AbstractGraph.from_edges(
         r.graph.n, (e for e, c in counts.items() if c == 0)
     )
@@ -133,16 +133,10 @@ def edge_thickness(r: GeometricRealization) -> int:
 
 
 def signature(r: GeometricRealization) -> InvariantSignature:
-    cs = crossing_structure(r)
-    counts = _per_edge_counts(r, cs)
     return InvariantSignature(
-        cr=len(cs),
-        per_edge_cr_multiset=tuple(sorted(counts.values())),
-        uncrossed_class=canonical_label(
-            AbstractGraph.from_edges(
-                r.graph.n, (e for e, c in counts.items() if c == 0)
-            )
-        ),
+        cr=len(crossing_structure(r)),
+        per_edge_cr_multiset=tuple(sorted(per_edge_crossing_counts(r).values())),
+        uncrossed_class=canonical_label(uncrossed_subgraph(r)),
         ex_class=canonical_label(edge_crossing_graph(r)),
         lex_class=canonical_two_colored_label(line_crossing_graph(r)),
         thickness=edge_thickness(r),

@@ -27,12 +27,14 @@ from .graph_core import (
 from .invariants import (
     edge_crossing_graph,
     edge_index_map,
+    per_edge_crossing_counts,
     uncrossed_subgraph,
 )
 from .realization import (
     Edge,
     GeometricRealization,
     crossing_structure,
+    ordered_pair,
 )
 
 
@@ -77,10 +79,6 @@ def identity_map(n: int) -> VertexMap:
     return VertexMap(n, n, tuple(range(n)))
 
 
-def _ordered_pair(e: Edge, f: Edge):
-    return (e, f) if e <= f else (f, e)
-
-
 def is_geo_homomorphism(
     src: GeometricRealization, dst: GeometricRealization, f: VertexMap
 ) -> bool:
@@ -96,7 +94,7 @@ def is_geo_homomorphism(
         ie, ig = f.map_edge(e), f.map_edge(g)
         if ie is None or ig is None or ie == ig:
             return False
-        if _ordered_pair(ie, ig) not in dst_crossings:
+        if ordered_pair(ie, ig) not in dst_crossings:
             return False
     return True
 
@@ -151,7 +149,7 @@ def find_geo_homomorphisms(
             ie, ig = image_edge(e), image_edge(f)
             if ie is None or ig is None or ie == ig:
                 return False
-            if _ordered_pair(ie, ig) not in dst_crossings:
+            if ordered_pair(ie, ig) not in dst_crossings:
                 return False
         return True
 
@@ -217,7 +215,7 @@ def brute_force_injective_geo_homomorphisms(
             c, d = perm[f[0]], perm[f[1]]
             ie = (a, b) if a < b else (b, a)
             ig = (c, d) if c < d else (d, c)
-            if _ordered_pair(ie, ig) not in x_dst:
+            if ordered_pair(ie, ig) not in x_dst:
                 ok = False
                 break
         if ok:
@@ -230,17 +228,11 @@ def brute_force_injective_geo_homomorphisms(
 # ---------------------------------------------------------------------------
 
 def _vertex_crossing_profiles(r: GeometricRealization) -> list[tuple[int, ...]]:
-    counts = {e: 0 for e in r.graph.edges}
-    for e, f in crossing_structure(r):
-        counts[e] += 1
-        counts[f] += 1
-    profiles = []
-    for v in range(r.graph.n):
-        incident = sorted(
-            counts[e] for e in r.graph.edges if v in e
-        )
-        profiles.append(tuple(incident))
-    return profiles
+    counts = per_edge_crossing_counts(r)
+    return [
+        tuple(sorted(c for e, c in counts.items() if v in e))
+        for v in range(r.graph.n)
+    ]
 
 
 def geo_isomorphic(
@@ -269,7 +261,7 @@ def geo_isomorphic(
         if e[0] in f or e[1] in f:
             continue
         vs = frozenset(e) | frozenset(f)
-        flag = _ordered_pair(e, f) in x_r
+        flag = ordered_pair(e, f) in x_r
         for v in vs:
             pair_checks[v].append((vs, e, f, flag))
 
@@ -285,7 +277,7 @@ def geo_isomorphic(
         for vs, e, f, flag in pair_checks[v]:
             if any(images[u] < 0 for u in vs):
                 continue
-            crossed = _ordered_pair(image_edge(e), image_edge(f)) in x_s
+            crossed = ordered_pair(image_edge(e), image_edge(f)) in x_s
             if crossed != flag:
                 return False
         return True

@@ -56,7 +56,7 @@ def poset_from_leq(
     ranks: list[int] | None = None,
     classes: list[RealizationClass] | None = None,
 ) -> HomPoset:
-    """Assemble a poset from an explicit relation (mostly for tests)."""
+    """Assemble a poset from an explicit relation and its ranks."""
     n = len(leq)
     return HomPoset(
         classes=classes if classes is not None else [],
@@ -87,13 +87,7 @@ def build_poset(atlas: Atlas) -> HomPoset:
                     f"classes {i} and {j} precede each other; the atlas"
                     " holds duplicated classes"
                 )
-    ranks = [c.signature.cr // 2 for c in classes]
-    return HomPoset(
-        classes=list(classes),
-        leq=leq,
-        hasse_edges=transitive_reduction(leq),
-        rank=ranks,
-    )
+    return poset_from_leq(leq, [c.signature.cr // 2 for c in classes], list(classes))
 
 
 def validate_poset(p: HomPoset) -> list[str]:

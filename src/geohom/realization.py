@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .exact_geometry import (
     GeneralPositionViolation,
     Point,
     Segment,
+    crossing_mask,
+    disjoint_edge_pairs,
     find_general_position_violation,
-    proper_cross,
+    orientation_signs,
+    segments_cross_rational,
 )
 from .graph_core import AbstractGraph, ParseError
 
@@ -25,7 +29,7 @@ Edge = tuple[int, int]
 CrossingPair = tuple[Edge, Edge]
 
 
-def _ordered_pair(e: Edge, f: Edge) -> CrossingPair:
+def ordered_pair(e: Edge, f: Edge) -> CrossingPair:
     return (e, f) if e <= f else (f, e)
 
 
@@ -45,7 +49,7 @@ class CrossingStructure:
         e, f = pair
         e = (min(e), max(e))
         f = (min(f), max(f))
-        return _ordered_pair(e, f) in self.pairs
+        return ordered_pair(e, f) in self.pairs
 
     def edges_crossing(self, e: Edge) -> list[Edge]:
         e = (min(e), max(e))
@@ -69,6 +73,17 @@ class GeometricRealization:
     def segment(self, e: Edge) -> Segment:
         u, v = e
         return Segment(self.points[u], self.points[v])
+
+    @cached_property
+    def crossings(self) -> CrossingStructure:
+        """The crossing structure, computed once per realization."""
+        n, edges = self.graph.n, self.graph.edges
+        mask = crossing_mask(orientation_signs([(p.x, p.y) for p in self.points]), n)
+        return CrossingStructure(frozenset(
+            (e, f)
+            for bit, (e, f) in enumerate(disjoint_edge_pairs(n))
+            if mask >> bit & 1 and e in edges and f in edges
+        ))
 
 
 def make_realization(
@@ -113,15 +128,18 @@ def make_complete_bipartite_realization(points, parts) -> GeometricRealization:
 
 def crossing_structure(r: GeometricRealization) -> CrossingStructure:
     """All vertex-disjoint edge pairs whose segments properly cross."""
-    edges = r.graph.sorted_edges()
-    segs = {e: r.segment(e) for e in edges}
-    pairs = []
-    for e, f in combinations(edges, 2):
-        if e[0] in f or e[1] in f:
-            continue
-        if proper_cross(segs[e], segs[f]):
-            pairs.append((e, f))
-    return CrossingStructure(frozenset(pairs))
+    return r.crossings
+
+
+def rational_crossing_structure(r: GeometricRealization) -> CrossingStructure:
+    """The same pairs decided by segments_cross_rational: an oracle for
+    crossing_structure that shares none of its arithmetic."""
+    return CrossingStructure(frozenset(
+        (e, f)
+        for e, f in combinations(r.graph.sorted_edges(), 2)
+        if not set(e) & set(f)
+        and segments_cross_rational(r.segment(e), r.segment(f))
+    ))
 
 
 def complete_to_k6(r: GeometricRealization) -> GeometricRealization:

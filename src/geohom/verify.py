@@ -29,6 +29,7 @@ from itertools import permutations, product
 from . import reference_data as ref
 from .atlas import (
     Atlas,
+    ConfigError,
     EnumerationConfig,
     assign_paper_labels,
     crossing_histogram,
@@ -36,14 +37,14 @@ from .atlas import (
     load_atlas,
 )
 from .exact_geometry import (
+    GeneralPositionViolation,
     Point,
     Segment,
-    in_general_position,
     proper_cross,
     segments_cross_rational,
 )
-from .graph_core import ParseError
-from .invariants import edge_crossing_graph, signature
+from .graph_core import ParseError, complete_graph
+from .invariants import edge_crossing_graph
 from .morphisms import (
     brute_force_injective_geo_homomorphisms,
     explain_non_precedence,
@@ -64,7 +65,8 @@ from .poset import (
 from .realization import (
     crossing_structure,
     bipartitions_of_6,
-    make_complete_bipartite_realization,
+    make_realization,
+    rational_crossing_structure,
 )
 
 DEFAULT_SEED_A = 7
@@ -149,16 +151,37 @@ def resolve_reference_labeling(
 
 
 def pin_reference_labels(
-    atlas: Atlas, poset: HomPoset
-) -> tuple[Atlas, list[tuple[str, str, bool]]]:
-    """Atlas relabeled by the pattern-resolved labeling, sorted by label."""
+    atlas: Atlas,
+) -> tuple[Atlas, HomPoset, list[tuple[str, str, bool]]]:
+    """Label a complete k33 atlas from scratch and pin the labels.
+
+    Strips any stored labels, assigns the anchored paper labels, builds
+    the order once and resolves the provisional labels against the cover
+    pattern.  Returns the pinned atlas, its order (permuted into pinned
+    class order: pinning only relabels, so no second search), and the
+    cover mismatches.
+    """
+    labeled = assign_paper_labels(
+        Atlas(
+            atlas.target,
+            [replace(c, label=None, provisional=True) for c in atlas.classes],
+            atlas.complete,
+        )
+    )
+    poset = build_poset(labeled)
     labeling, mismatches = resolve_reference_labeling(poset)
-    by_index = {i: label for label, i in labeling.items()}
-    relabeled = [
-        replace(cls, label=by_index[i]) for i, cls in enumerate(atlas.classes)
-    ]
-    relabeled.sort(key=lambda c: (int(c.label.split(".")[0]), int(c.label.split(".")[1])))
-    return Atlas(atlas.target, relabeled, atlas.complete), mismatches
+    ordered = sorted(
+        labeling.items(),
+        key=lambda item: tuple(int(k) for k in item[0].split(".")),
+    )
+    order = [i for _, i in ordered]
+    classes = [replace(labeled.classes[i], label=label) for label, i in ordered]
+    pinned_poset = poset_from_leq(
+        [[poset.leq[i][j] for j in order] for i in order],
+        [poset.rank[i] for i in order],
+        classes,
+    )
+    return Atlas(labeled.target, classes, labeled.complete), pinned_poset, mismatches
 
 
 # the one reference cover cell refuted by exhaustive search
@@ -198,20 +221,9 @@ def _config(seed: int, window: int | None, max_samples: int | None,
     return EnumerationConfig(**kwargs)
 
 
-def _validate_supplied_atlas(path) -> tuple[Atlas | None, int | None, str | None]:
-    try:
-        atlas = load_atlas(path)
-    except (OSError, ParseError) as exc:
-        return None, None, f"unreadable atlas file: {exc}"
-    for pos, cls in enumerate(atlas.classes):
-        if signature(cls.representative) != cls.signature:
-            return (
-                None,
-                len(atlas.classes),
-                f"stored signature of record {pos} does not match its"
-                " representative",
-            )
-    return atlas, len(atlas.classes), None
+def _require_positive(count: int, what: str) -> None:
+    if count < 1:
+        raise ConfigError(f"{what} must be positive, got {count}")
 
 
 def build_artifacts(
@@ -233,26 +245,23 @@ def build_artifacts(
     supplied_count = None
     base = atlas33_a
     if atlas_path is not None:
-        supplied, supplied_count, supplied_error = _validate_supplied_atlas(
-            atlas_path
-        )
-        if supplied is not None and supplied.target == "k33":
-            if len(supplied.classes) == ref.K33_CLASS_COUNT:
-                base = supplied
-            else:
+        try:
+            supplied = load_atlas(atlas_path)
+        except (OSError, ParseError) as exc:
+            supplied_error = f"unreadable atlas file: {exc}"
+        else:
+            supplied_count = len(supplied.classes)
+            if supplied.target != "k33":
+                supplied_error = "supplied atlas is not a k33 atlas; ignored"
+            elif supplied_count != ref.K33_CLASS_COUNT:
                 supplied_error = (
-                    f"supplied atlas holds {len(supplied.classes)} classes,"
+                    f"supplied atlas holds {supplied_count} classes,"
                     f" expected {ref.K33_CLASS_COUNT}; rebuilt from scratch"
                 )
-        elif supplied is not None:
-            supplied_error = "supplied atlas is not a k33 atlas; ignored"
+            else:
+                base = supplied
 
-    labeled = assign_paper_labels(
-        Atlas(base.target, [replace(c, label=None, provisional=True) for c in base.classes], base.complete)
-    )
-    prelim_poset = build_poset(labeled)
-    pinned, mismatches = pin_reference_labels(labeled, prelim_poset)
-    poset = build_poset(pinned)
+    pinned, poset, mismatches = pin_reference_labels(base)
     labeling = {c.label: i for i, c in enumerate(pinned.classes)}
     return VerificationArtifacts(
         atlas33_a=atlas33_a,
@@ -313,25 +322,35 @@ def check_crossing_histogram(art: VerificationArtifacts) -> CheckResult:
 def check_parity_property(
     sample_count: int = 10_000, seed: int = 20_250_810
 ) -> CheckResult:
+    """Every K_{3,3} drawing has an odd crossing count.  Each point set is
+    drawn once, as K_6: a bipartition's drawing crosses in exactly the K_6
+    pairs whose two edges both join the parts."""
+    _require_positive(sample_count, "parity sample count")
     rng = random.Random(seed)
+    k6 = complete_graph(6)
     parts_list = bipartitions_of_6()
     checked = 0
     while checked < sample_count:
         pts = [
-            Point(rng.randrange(-1000, 1001), rng.randrange(-1000, 1001))
+            (rng.randrange(-1000, 1001), rng.randrange(-1000, 1001))
             for _ in range(6)
         ]
-        if not in_general_position(pts):
+        try:
+            pairs = crossing_structure(make_realization(k6, pts)).pairs
+        except GeneralPositionViolation:
             continue
         for parts in parts_list:
-            r = make_complete_bipartite_realization(pts, parts)
-            c = len(crossing_structure(r))
+            # the K_{3,3} edges are those joining the two parts
+            c = sum(
+                all((a in parts[0]) != (b in parts[0]) for a, b in pair)
+                for pair in pairs
+            )
             if c % 2 == 0:
                 return CheckResult(
                     "parity-property",
                     False,
-                    f"even crossing count {c} at points"
-                    f" {[(p.x, p.y) for p in pts]} parts {sorted(map(sorted, parts))}",
+                    f"even crossing count {c} at points {pts}"
+                    f" parts {sorted(map(sorted, parts))}",
                 )
         checked += 1
     return CheckResult(
@@ -588,6 +607,18 @@ def check_oracle_equivalence(
     quadruples: int = 1000,
     seed: int = 4242,
 ) -> CheckResult:
+    _require_positive(quadruples, "oracle quadruple count")
+    atlases = (art.pinned, art.atlas6_a, art.atlas6_b)
+    for atlas in atlases:
+        for cls in atlas.classes:
+            rep = cls.representative
+            if crossing_structure(rep) != rational_crossing_structure(rep):
+                return CheckResult(
+                    "oracle-equivalence",
+                    False,
+                    f"crossing kernel disagrees with the rational predicate on"
+                    f" {atlas.target} class {cls.label}",
+                )
     poset = art.poset
     for i in range(poset.n):
         for j in range(poset.n):
@@ -628,7 +659,8 @@ def check_oracle_equivalence(
         "oracle-equivalence",
         True,
         f"all {poset.n}x{poset.n} pairs match brute force;"
-        f" {quadruples} segment quadruples match the rational predicate",
+        f" {sum(len(a.classes) for a in atlases)} class representatives"
+        f" and {quadruples} segment quadruples match the rational predicate",
     )
 
 
@@ -645,6 +677,8 @@ def run_verification(
     oracle_quadruples: int = 1000,
 ) -> tuple[list[CheckResult], VerificationArtifacts]:
     """Run every check; returns results in criterion order plus artifacts."""
+    _require_positive(parity_sets, "parity sample count")
+    _require_positive(oracle_quadruples, "oracle quadruple count")
     art = build_artifacts(
         seed_a,
         seed_b,

@@ -10,7 +10,6 @@ from geohom.atlas import (
     assign_paper_labels,
     enumerate_classes,
 )
-from geohom.poset import build_poset
 from geohom.verify import pin_reference_labels
 
 SEED_A = 7
@@ -43,11 +42,9 @@ def labeled_atlas(atlas_k33_a):
 
 
 @pytest.fixture(scope="session")
-def pinned_bundle(labeled_atlas):
+def pinned_bundle(atlas_k33_a):
     """(pinned atlas, its order, the cover-pattern mismatches)."""
-    prelim = build_poset(labeled_atlas)
-    pinned, mismatches = pin_reference_labels(labeled_atlas, prelim)
-    return pinned, build_poset(pinned), mismatches
+    return pin_reference_labels(atlas_k33_a)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from geohom.atlas import load_atlas
 from geohom.cli import main
+from geohom.graph_core import ParseError
 
 FAST = ["--window", "3000", "--max-samples", "100000"]
 
@@ -54,17 +56,47 @@ def test_unknown_flag_rejected():
     assert info.value.code == 2
 
 
-def test_threads_env_validated(monkeypatch):
-    monkeypatch.setenv("GEOHOM_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        run(["hom", "--help"])
-    monkeypatch.setenv("GEOHOM_THREADS", "0")
-    with pytest.raises(SystemExit):
-        run(["enumerate", "--seed", "1"])
-    monkeypatch.setenv("GEOHOM_THREADS", "4")
-    with pytest.raises(SystemExit) as info:
-        run(["--help"])
-    assert info.value.code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "--bound", "1"],
+        ["hom", "3.1", "5.1", "--window", "0"],
+        ["export", "--what", "hasse", "--max-samples", "0"],
+        ["enumerate", "--bound", "2000000"],
+        ["verify", "--window", "0"],
+    ],
+)
+def test_out_of_range_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"geohom {argv[0]}: error: ")
+    assert not list(tmp_path.iterdir())  # nothing enumerated or written
+
+
+@pytest.mark.parametrize("flag", ["--parity-sets", "--quadruples"])
+def test_verify_rejects_empty_check_before_enumerating(flag, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("geohom.verify.enumerate_classes", refuse)
+    assert run(["verify", flag, "0"]) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_tampered_atlas_rejected(tmp_path, capsys):
+    atlas = tmp_path / "atlas.json"
+    run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])
+    records = json.loads(atlas.read_text())
+    records[3]["signature"]["thickness"] += 1
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(records))
+    with pytest.raises(ParseError, match="record 3: stored signature"):
+        load_atlas(tampered)
+    capsys.readouterr()
+    assert run(["hom", "3.1", "5.1", "--atlas", str(tampered)]) == 1
+    assert "stored signature" in capsys.readouterr().err
 
 
 def test_hom_witnesses(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import json
 
+import pytest
+
 from geohom.poset import build_poset, poset_to_json
 from geohom.verify import (
+    check_oracle_equivalence,
+    check_parity_property,
     check_poset_structure,
     build_artifacts,
-    pin_reference_labels,
     resolve_reference_labeling,
     run_verification,
 )
@@ -66,12 +69,9 @@ def test_run_verification_quick():
     assert len(art.pinned.classes) == 19
 
 
-def test_poset_file_validation(tmp_path, labeled_atlas):
-    art_poset = build_poset(labeled_atlas)
-    pinned, _ = pin_reference_labels(labeled_atlas, art_poset)
-    good = build_poset(pinned)
+def test_poset_file_validation(tmp_path, hom_poset):
     path = tmp_path / "poset.json"
-    path.write_text(poset_to_json(good))
+    path.write_text(poset_to_json(hom_poset))
 
     art = build_artifacts(window=3000, max_samples=100_000)
     result = check_poset_structure(art, path)
@@ -84,3 +84,11 @@ def test_poset_file_validation(tmp_path, labeled_atlas):
     result = check_poset_structure(art, bad_path)
     assert not result.passed
     assert "supplied poset" in result.detail or "differs" in result.detail
+
+
+def test_empty_checks_rejected():
+    # the sizes are validated before the artifacts are read
+    with pytest.raises(ValueError):
+        check_parity_property(0)
+    with pytest.raises(ValueError):
+        check_oracle_equivalence(None, quadruples=0)
