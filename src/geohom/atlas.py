@@ -1,13 +1,18 @@
 """Discovery of all isomorphism classes of drawings of K_{3,3} and K_6.
 
-Sampling works on raw crossing data: each 6-point configuration yields a
-crossing bitmask per candidate drawing (one for K_6, ten for K_{3,3} --
-one per bipartition, relabeled to the fixed parts {0,1,2} | {3,4,5}).
-Masks already seen are dict hits; new masks are compared against class
-representatives by exact crossing-preserving isomorphism, within buckets
-keyed on cheap invariants.  Enumeration stops once a configurable number
-of consecutive samples produces no new class, or raises BudgetExhausted
-with the partial result.
+A drawing is handled as its crossing mask: one bit per vertex-disjoint
+edge pair of K_6 on 0..5 or of K_{3,3} on {0,1,2} | {3,4,5}.  One
+symmetry mechanism serves class identity and the order: per target, the
+bit permutations its automorphisms induce (built on first use).  Two
+drawings are isomorphic iff one mask lies in the other's orbit, and one
+precedes the other iff some mask of its orbit is a subset of the other's.
+
+Sampling dedups each 6-point configuration's K_6 mask in a memo that
+takes in a new class's whole orbit, so later drawings of the class are
+dict hits.  The ten K_{3,3} drawings of a configuration (one per
+bipartition) are read off only when it opens a K_6 class.  Enumeration
+stops once a configurable number of consecutive samples produces no new
+class, or raises BudgetExhausted with the partial result.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations
 
 from .exact_geometry import (
@@ -26,6 +32,7 @@ from .exact_geometry import (
 from .graph_core import (
     AbstractGraph,
     ParseError,
+    all_graph_automorphisms,
     canonical_label,
     complete_bipartite_graph,
     complete_graph,
@@ -43,11 +50,11 @@ from .invariants import (
     signature_from_dict,
     signature_to_dict,
 )
-from .morphisms import geo_isomorphic
 from .realization import (
     GeometricRealization,
     bipartitions_of_6,
     make_realization,
+    ordered_pair,
     rational_crossing_structure,
     realization_from_json,
     realization_to_json,
@@ -130,122 +137,92 @@ def crossing_histogram(atlas: Atlas) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# fixed combinatorial tables for 6 points
+# the crossing-mask layout and its symmetry tables
 # ---------------------------------------------------------------------------
 
 _K6_GRAPH = complete_graph(6)
-_K6_EDGES = _K6_GRAPH.sorted_edges()
-# vertex-disjoint edge pairs of K_6 as edge indices, one per crossing_mask bit
-_K6_PAIRS = [
-    (_K6_EDGES.index(e), _K6_EDGES.index(f)) for e, f in disjoint_edge_pairs(6)
-]
-
 _K33_GRAPH = complete_bipartite_graph(3, 3)
 _K33_PARTS = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-_K33_EDGES = _K33_GRAPH.sorted_edges()
-# vertex-disjoint edge pairs of K_{3,3}: the K_6 pairs of two K_{3,3} edges
-_K33_PAIRS = [
-    (_K33_EDGES.index(e), _K33_EDGES.index(f))
-    for e, f in disjoint_edge_pairs(6)
-    if e in _K33_GRAPH.edges and f in _K33_GRAPH.edges
-]
-_K33_PAIR_BIT = {
-    (_K33_EDGES[i], _K33_EDGES[j]): bit for bit, (i, j) in enumerate(_K33_PAIRS)
+_GRAPHS = {"k33": _K33_GRAPH, "k6": _K6_GRAPH}
+_LAYOUTS = {"k33": "K_{3,3} on {0,1,2} | {3,4,5}", "k6": "K_6 on 0..5"}
+# bit d of a target's crossing mask is the d-th vertex-disjoint edge pair of
+# its graph, in disjoint_edge_pairs(6) order (for K_6 exactly crossing_mask)
+_MASK_PAIRS = {
+    target: tuple(
+        (e, f) for e, f in disjoint_edge_pairs(6) if e in g.edges and f in g.edges
+    )
+    for target, g in _GRAPHS.items()
+}
+_MASK_BIT = {
+    target: {pair: bit for bit, pair in enumerate(pairs)}
+    for target, pairs in _MASK_PAIRS.items()
 }
 
 
-def _bipartition_tables():
-    """Per bipartition: the relabeling onto {0,1,2}|{3,4,5} and, for every
-    disjoint K_6 edge pair, the K_{3,3} crossing bit it feeds (or -1)."""
-    tables = []
-    for first, second in bipartitions_of_6():
-        perm = [0] * 6
-        for new, old in enumerate(sorted(first) + sorted(second)):
-            perm[old] = new
-        relabel = {(u, v): tuple(sorted((perm[u], perm[v]))) for u, v in _K6_EDGES}
-        # an edge inside a part relabels to no K_{3,3} edge, so its pairs
-        # have no bit
-        bitmap = tuple(
-            _K33_PAIR_BIT.get(tuple(sorted((relabel[e], relabel[f]))), -1)
-            for e, f in disjoint_edge_pairs(6)
-        )
-        tables.append((tuple(perm), bitmap))
-    return tables
+def _target_of(r: GeometricRealization) -> str:
+    return "k33" if r.parts is not None else "k6"
 
 
-_BIPARTITION_TABLES = _bipartition_tables()
+def _mask_of_pairs(target: str, pairs) -> int:
+    bit = _MASK_BIT[target]
+    return sum(1 << bit[pair] for pair in pairs)
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def crossing_mask_of(r: GeometricRealization) -> int:
+    """The crossing mask of a drawing of K_{3,3} on {0,1,2} | {3,4,5} or of
+    K_6 on 0..5 (the vertex layouts every atlas holds)."""
+    return _mask_of_pairs(_target_of(r), r.crossings)
 
 
-def _cheap_key(mask: int, pairs, edges, n_vertices: int):
-    """Bucket key: crossing count, per-edge counts, per-vertex profiles."""
-    counts = [0] * len(edges)
-    total = 0
-    for bit in _iter_bits(mask):
-        i, j = pairs[bit]
-        counts[i] += 1
-        counts[j] += 1
-        total += 1
-    profiles = [[] for _ in range(n_vertices)]
-    for idx, (u, v) in enumerate(edges):
-        profiles[u].append(counts[idx])
-        profiles[v].append(counts[idx])
-    return (
-        total,
-        tuple(sorted(counts)),
-        tuple(sorted(tuple(sorted(p)) for p in profiles)),
+@cache
+def symmetry_table(target: str) -> tuple[bytes, ...]:
+    """One row per automorphism of the target graph (720 for K_6, 72 for
+    K_{3,3}): row[d] is the mask bit that the edge pair of bit d maps to."""
+    bit = _MASK_BIT[target]
+
+    def image(p, e):
+        return (min(p[e[0]], p[e[1]]), max(p[e[0]], p[e[1]]))
+
+    return tuple(
+        bytes(bit[ordered_pair(image(p, e), image(p, f))] for e, f in _MASK_PAIRS[target])
+        for p in all_graph_automorphisms(_GRAPHS[target])
+    )
+
+
+def mask_orbit(target: str, mask: int) -> frozenset[int]:
+    """Every mask of a drawing isomorphic to one with this mask."""
+    bits = [d for d in range(mask.bit_length()) if mask >> d & 1]
+    return frozenset(
+        sum(1 << row[d] for d in bits) for row in symmetry_table(target)
     )
 
 
 class _Dedup:
-    """Raw-mask memo plus exact isomorphism resolution within buckets."""
+    """Mask memo closed under the target's automorphisms: a new class
+    enters with its whole orbit, so every later drawing of it is a hit."""
 
     def __init__(self, target: str):
-        if target == "k33":
-            self.pairs, self.edges = _K33_PAIRS, _K33_EDGES
-        else:
-            self.pairs, self.edges = _K6_PAIRS, _K6_EDGES
+        self.target = target
         self.mask_to_class: dict[int, int] = {}
-        self.buckets: dict[tuple, list[int]] = {}
         self.reps: list[GeometricRealization] = []
-        self.counts: list[int] = []
 
-    def observe(self, mask: int, materialize) -> bool:
-        """Register one candidate drawing; True iff it opened a new class."""
+    def observe(self, mask: int, materialize) -> tuple[int, bool]:
+        """Class of one candidate drawing, and whether it opened the class."""
         hit = self.mask_to_class.get(mask)
         if hit is not None:
-            self.counts[hit] += 1
-            return False
+            return hit, False
         candidate = materialize()
-        key = _cheap_key(mask, self.pairs, self.edges, 6)
-        bucket = self.buckets.setdefault(key, [])
-        for idx in bucket:
-            if geo_isomorphic(candidate, self.reps[idx]) is not None:
-                self.mask_to_class[mask] = idx
-                self.counts[idx] += 1
-                return False
-        idx = len(self.reps)
-        expected = frozenset(
-            (self.edges[i], self.edges[j])
-            for i, j in (self.pairs[b] for b in _iter_bits(mask))
-        )
-        if rational_crossing_structure(candidate).pairs != expected:
+        if _mask_of_pairs(self.target, rational_crossing_structure(candidate)) != mask:
             raise AssertionError(
                 "crossing mask disagrees with the rational predicate"
             )
+        idx = len(self.reps)
         self.reps.append(candidate)
-        self.counts.append(1)
-        self.mask_to_class[mask] = idx
-        bucket.append(idx)
-        return True
+        for image in mask_orbit(self.target, mask):
+            self.mask_to_class[image] = idx
+        return idx, True
 
-    def finalize(self) -> list[RealizationClass]:
+    def finalize(self, counts: list[int]) -> list[RealizationClass]:
         return [
             RealizationClass(
                 representative=rep,
@@ -254,7 +231,7 @@ class _Dedup:
                 provisional=True,
                 discovery_count=count,
             )
-            for rep, count in zip(self.reps, self.counts)
+            for rep, count in zip(self.reps, counts)
         ]
 
 
@@ -277,15 +254,20 @@ def _point_sets(cfg: EnumerationConfig):
             yield list(combo)
 
 
-def _materialize_k33(pts, perm):
-    points = [None] * 6
-    for old in range(6):
-        points[perm[old]] = pts[old]
+def _materialize_k33(pts, first, second):
+    """The drawing of K_{3,3} with parts first | second, relabeled onto
+    {0,1,2} | {3,4,5} in sorted order."""
+    points = [pts[old] for old in sorted(first) + sorted(second)]
     return make_realization(_K33_GRAPH, points, parts=_K33_PARTS)
 
 
 def enumerate_classes(target: str, cfg: EnumerationConfig | None = None) -> Atlas:
     """All isomorphism classes of drawings of the target graph.
+
+    Relabeling the points permutes the bipartitions and keeps each one's
+    drawing isomorphic, so a sample's K_{3,3} classes depend only on its
+    K_6 class: a K_{3,3} discovery count is the sum over K_6 classes of
+    the K_6 count times the bipartitions landing in the K_{3,3} class.
 
     Deterministic for a fixed config.  Raises BudgetExhausted when the
     sample budget (or the grid) runs out before the stabilization window
@@ -295,7 +277,11 @@ def enumerate_classes(target: str, cfg: EnumerationConfig | None = None) -> Atla
         raise ValueError(f"unknown target {target!r}")
     if cfg is None:
         cfg = EnumerationConfig()
-    dedup = _Dedup(target)
+    k6 = _Dedup("k6")
+    k33 = _Dedup("k33")
+    k6_counts: list[int] = []
+    # per K_6 class: the K_{3,3} class of each bipartition
+    k33_of_k6: list[list[int]] = []
     samples = 0
     quiet = 0
     complete = False
@@ -305,29 +291,36 @@ def enumerate_classes(target: str, cfg: EnumerationConfig | None = None) -> Atla
             continue
         samples += 1
         k6_mask = crossing_mask(signs, 6)
-        new_class = False
-        if target == "k6":
-            new_class = dedup.observe(
-                k6_mask, lambda: make_realization(_K6_GRAPH, pts)
-            )
-        else:
-            for perm, bitmap in _BIPARTITION_TABLES:
-                k33_mask = 0
-                for d in _iter_bits(k6_mask):
-                    bit = bitmap[d]
-                    if bit >= 0:
-                        k33_mask |= 1 << bit
-                if dedup.observe(
-                    k33_mask, lambda: _materialize_k33(pts, perm)
-                ):
-                    new_class = True
+        k6_class, new_class = k6.observe(
+            k6_mask, lambda: make_realization(_K6_GRAPH, pts)
+        )
+        if new_class:
+            k6_counts.append(0)
+        k6_counts[k6_class] += 1
+        if new_class and target == "k33":
+            new_class = False
+            ids = []
+            for first, second in bipartitions_of_6():
+                drawing = _materialize_k33(pts, first, second)
+                idx, opened = k33.observe(crossing_mask_of(drawing), lambda: drawing)
+                ids.append(idx)
+                new_class = new_class or opened
+            k33_of_k6.append(ids)
         quiet = 0 if new_class else quiet + 1
         if quiet >= cfg.stabilization_window:
             complete = True
             break
         if samples >= cfg.max_samples:
             break
-    atlas = Atlas(target, dedup.finalize(), complete)
+    if target == "k6":
+        classes = k6.finalize(k6_counts)
+    else:
+        counts = [0] * len(k33.reps)
+        for k6_count, ids in zip(k6_counts, k33_of_k6):
+            for idx in ids:
+                counts[idx] += k6_count
+        classes = k33.finalize(counts)
+    atlas = Atlas(target, classes, complete)
     if not complete:
         raise BudgetExhausted(
             atlas,
@@ -561,11 +554,13 @@ def atlas_from_json(text: str) -> Atlas:
             sig = signature_from_dict(record["signature"])
         except (ParseError, ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
+        record_target = _target_of(rep)
+        if rep.graph != _GRAPHS[record_target] or rep.parts not in (None, _K33_PARTS):
+            raise ParseError(f"{where}: representative is not {_LAYOUTS[record_target]}")
         if signature(rep) != sig:
             raise ParseError(
                 f"{where}: stored signature does not match its representative"
             )
-        record_target = "k33" if rep.parts is not None else "k6"
         if target is None:
             target = record_target
         elif target != record_target:

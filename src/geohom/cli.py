@@ -160,6 +160,9 @@ def cmd_poset(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.what in ("ex", "lex") and args.label is None:
+        print("error: --label is required for ex/lex exports", file=sys.stderr)
+        return 1
     pinned, poset, _ = _pinned(args)
     if args.what == "atlas":
         return _write_or_print(atlas_to_json(pinned), args.out)
@@ -168,9 +171,6 @@ def cmd_export(args) -> int:
             poset_to_json(poset) if args.format == "json" else hasse_to_dot(poset)
         )
         return _write_or_print(text, args.out)
-    if args.label is None:
-        print("error: --label is required for ex/lex exports", file=sys.stderr)
-        return 1
     cls = pinned.find(args.label)
     if args.what == "ex":
         return _write_or_print(edge_crossing_graph_to_dot(cls.representative), args.out)

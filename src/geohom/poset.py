@@ -2,9 +2,12 @@
 
 Class i precedes class j when some vertex-injective map preserving
 adjacencies and crossings carries the representative of i into that of
-j.  On isomorphism classes this is a partial order; the module computes
-it, takes its transitive reduction, and checks gradedness, lattice
-failure, and extremal elements.
+j.  Between drawings of one graph on six vertices such a map is an
+automorphism of the graph, so the order is read off the crossing masks
+and their orbits under the atlas symmetry tables.  On isomorphism
+classes it is a partial order; the module computes it, takes its
+transitive reduction, and checks gradedness, lattice failure, and
+extremal elements.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .atlas import Atlas, RealizationClass
-from .morphisms import find_geo_homomorphisms
+from .atlas import Atlas, RealizationClass, crossing_mask_of, mask_orbit
 
 
 @dataclass
@@ -67,19 +69,13 @@ def poset_from_leq(
 
 
 def build_poset(atlas: Atlas) -> HomPoset:
-    """Pairwise injective-homomorphism existence over all class pairs."""
+    """Class i precedes class j iff some mask in the orbit of i's crossing
+    mask is a subset of j's."""
     classes = atlas.classes
     n = len(classes)
-    leq = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            leq[i][j] = bool(
-                find_geo_homomorphisms(
-                    classes[i].representative,
-                    classes[j].representative,
-                    injective=True,
-                )
-            )
+    masks = [crossing_mask_of(c.representative) for c in classes]
+    orbits = [mask_orbit(atlas.target, x) for x in masks]
+    leq = [[any(not o & ~x_j for o in orbit) for x_j in masks] for orbit in orbits]
     for i in range(n):
         for j in range(n):
             if i != j and leq[i][j] and leq[j][i]:

@@ -638,6 +638,13 @@ def check_oracle_equivalence(
                     f"search disagrees with brute force on"
                     f" ({poset.label(i)}, {poset.label(j)})",
                 )
+            if poset.leq[i][j] != bool(brute):
+                return CheckResult(
+                    "oracle-equivalence",
+                    False,
+                    f"order disagrees with brute force on"
+                    f" ({poset.label(i)}, {poset.label(j)})",
+                )
     rng = random.Random(seed)
     compared = 0
     while compared < quadruples:
@@ -658,7 +665,7 @@ def check_oracle_equivalence(
     return CheckResult(
         "oracle-equivalence",
         True,
-        f"all {poset.n}x{poset.n} pairs match brute force;"
+        f"search and order match brute force on all {poset.n}x{poset.n} pairs;"
         f" {sum(len(a.classes) for a in atlases)} class representatives"
         f" and {quadruples} segment quadruples match the rational predicate",
     )

@@ -1,27 +1,41 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geohom
 from geohom.atlas import (
     AnchorConflict,
     Atlas,
     BudgetExhausted,
     EnumerationConfig,
     UnknownLabel,
+    _materialize_k33,
+    _point_sets,
     assign_paper_labels,
     atlas_from_json,
     atlas_to_json,
     crossing_histogram,
+    crossing_mask_of,
     enumerate_classes,
     load_atlas,
+    mask_orbit,
     save_atlas,
+    symmetry_table,
 )
 from geohom.exact_geometry import Point, in_general_position
 from geohom.graph_core import ParseError
-from geohom.invariants import signature
+from geohom.invariants import signature, signature_to_dict
 from geohom.morphisms import geo_isomorphic
-from geohom.realization import make_complete_bipartite_realization
+from geohom.realization import (
+    bipartitions_of_6,
+    make_complete_bipartite_realization,
+    realization_from_json,
+)
 
 QUICK = dict(stabilization_window=4000, max_samples=100_000)
 
@@ -121,6 +135,29 @@ def test_discovery_counts(quick_atlas):
     # ten candidate drawings per sampled point set
     assert total % 10 == 0
     assert all(c.discovery_count > 0 for c in quick_atlas.classes)
+
+
+def test_k33_discovery_counts_match_a_per_sample_count():
+    # counts derived from K_6 classes equal a count of every drawing of
+    # every sample
+    cfg = EnumerationConfig(seed=7, stabilization_window=10_000, max_samples=500)
+    with pytest.raises(BudgetExhausted) as info:
+        enumerate_classes("k33", cfg)
+    classes = info.value.atlas.classes
+    orbits = [mask_orbit("k33", crossing_mask_of(c.representative)) for c in classes]
+    counts = [0] * len(classes)
+    samples = 0
+    for pts in _point_sets(cfg):
+        if samples == cfg.max_samples:
+            break
+        if not in_general_position([Point(*p) for p in pts]):
+            continue
+        samples += 1
+        for first, second in bipartitions_of_6():
+            mask = crossing_mask_of(_materialize_k33(pts, first, second))
+            (home,) = [i for i, orbit in enumerate(orbits) if mask in orbit]
+            counts[home] += 1
+    assert counts == [c.discovery_count for c in classes]
 
 
 def test_labeling(quick_labeled):
@@ -253,3 +290,48 @@ def test_random_mode_budget_exhaustion():
 def test_atlas_from_json_roundtrip_string(quick_labeled):
     text = atlas_to_json(quick_labeled)
     assert atlas_to_json(atlas_from_json(text)) == text
+
+
+def test_load_rejects_foreign_vertex_layout(quick_labeled):
+    # the same drawing with vertices 2 and 3 swapped: a valid K_{3,3}
+    # drawing, but not on {0,1,2} | {3,4,5}
+    records = json.loads(atlas_to_json(quick_labeled))
+    rep = records[4]["representative"]
+    rep["points"][2], rep["points"][3] = rep["points"][3], rep["points"][2]
+    rep["parts"] = [[0, 1, 3], [2, 4, 5]]
+    moved = realization_from_json(json.dumps(rep))
+    assert signature(moved) == quick_labeled.classes[4].signature
+    with pytest.raises(ParseError, match=r"record 4: representative is not K_\{3,3\}"):
+        atlas_from_json(json.dumps(records))
+
+    # a K_6 record missing one edge, with its own signature stored
+    records = json.loads(atlas_to_json(enumerate_classes("k6", quick_cfg())))
+    rep = records[2]["representative"]
+    rep["edges"] = rep["edges"][1:]
+    records[2]["signature"] = signature_to_dict(
+        signature(realization_from_json(json.dumps(rep)))
+    )
+    with pytest.raises(ParseError, match="record 2: representative is not K_6"):
+        atlas_from_json(json.dumps(records))
+
+
+def test_symmetry_tables_permute_mask_bits():
+    for target, rows, bits in (("k6", 720, 45), ("k33", 72, 18)):
+        table = symmetry_table(target)
+        assert len(table) == len(set(table)) == rows
+        assert all(sorted(row) == list(range(bits)) for row in table)
+
+
+def test_import_builds_no_symmetry_table():
+    src = str(Path(geohom.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import geohom, geohom.cli\n"
+        "from geohom.atlas import symmetry_table\n"
+        "print(symmetry_table.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"

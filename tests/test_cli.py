@@ -99,6 +99,23 @@ def test_tampered_atlas_rejected(tmp_path, capsys):
     assert "stored signature" in capsys.readouterr().err
 
 
+def test_foreign_vertex_layout_rejected(tmp_path, capsys):
+    atlas = tmp_path / "atlas.json"
+    run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])
+    records = json.loads(atlas.read_text())
+    # the same drawing with vertices 2 and 3 swapped
+    rep = records[4]["representative"]
+    rep["points"][2], rep["points"][3] = rep["points"][3], rep["points"][2]
+    rep["parts"] = [[0, 1, 3], [2, 4, 5]]
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert run(["poset", "--atlas", str(moved)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "record 4: representative is not K_{3,3} on {0,1,2} | {3,4,5}" in err
+
+
 def test_hom_witnesses(tmp_path, capsys):
     atlas = tmp_path / "atlas.json"
     run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])
@@ -158,6 +175,11 @@ def test_export_graphs(tmp_path, capsys):
     assert "peripheries=2" in capsys.readouterr().out
     rc = run(["export", "--what", "ex", "--atlas", str(atlas)])
     assert rc == 1  # --label missing
+    capsys.readouterr()
+    # checked before the atlas is read
+    rc = run(["export", "--what", "lex", "--atlas", str(tmp_path / "missing.json")])
+    assert rc == 1
+    assert "--label is required" in capsys.readouterr().err
 
 
 def test_verify_passes(capsys):

@@ -1,21 +1,21 @@
 """Property tests: the orientation-table kernel against the independent
 rational predicate, the atlas masks against the realization's crossing
-structure, and the pinned order against a fresh search."""
+structure, the symmetry tables against the isomorphism and homomorphism
+searches, and the pinned order against a fresh build."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from geohom.atlas import (
-    _BIPARTITION_TABLES,
-    _K6_EDGES,
-    _K6_PAIRS,
-    _K33_EDGES,
-    _K33_PAIRS,
-    _iter_bits,
+    _MASK_BIT,
     _materialize_k33,
     Atlas,
+    RealizationClass,
+    crossing_mask_of,
+    mask_orbit,
 )
 from geohom.exact_geometry import (
     COORDINATE_LIMIT,
@@ -24,11 +24,25 @@ from geohom.exact_geometry import (
     in_general_position,
     orientation_signs,
 )
-from geohom.graph_core import complete_graph
+from geohom.graph_core import (
+    all_graph_automorphisms,
+    complete_bipartite_graph,
+    complete_graph,
+)
+from geohom.invariants import signature
+from geohom.morphisms import (
+    VertexMap,
+    find_geo_homomorphisms,
+    geo_isomorphic,
+    is_geo_homomorphism,
+)
 from geohom.poset import build_poset
 from geohom.realization import (
+    bipartitions_of_6,
     crossing_structure,
+    make_complete_bipartite_realization,
     make_realization,
+    ordered_pair,
     rational_crossing_structure,
 )
 from geohom.verify import pin_reference_labels
@@ -41,16 +55,32 @@ coordinate = st.one_of(
 six_points = st.lists(st.tuples(coordinate, coordinate), min_size=6, max_size=6)
 
 K6 = complete_graph(6)
+PARTS = ({0, 1, 2}, {3, 4, 5})
+AUTOMORPHISMS = {
+    "k6": all_graph_automorphisms(K6),
+    "k33": all_graph_automorphisms(complete_bipartite_graph(3, 3)),
+}
 
 
 def _general_position(pts) -> bool:
     return in_general_position([Point(*p) for p in pts])
 
 
-def _pairs_of(mask: int, pairs, edges) -> frozenset:
-    return frozenset(
-        (edges[i], edges[j]) for i, j in (pairs[bit] for bit in _iter_bits(mask))
-    )
+drawing_points = six_points.filter(_general_position)
+
+
+def _draw(target, pts):
+    if target == "k6":
+        return make_realization(K6, pts)
+    return make_complete_bipartite_realization(pts, PARTS)
+
+
+def _relabeled(pts, perm):
+    """The points with vertex v moved to position perm[v]."""
+    out = [None] * 6
+    for v, p in enumerate(pts):
+        out[perm[v]] = p
+    return out
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,18 +95,85 @@ def test_kernel_matches_rational_predicate(pts):
 @given(six_points)
 def test_atlas_masks_match_crossing_structure(pts):
     assume(_general_position(pts))
-    k6_mask = crossing_mask(orientation_signs(pts), 6)
     k6 = make_realization(K6, pts)
-    assert _pairs_of(k6_mask, _K6_PAIRS, _K6_EDGES) == crossing_structure(k6).pairs
-    # the K_{3,3} projection used by enumerate_classes, per bipartition
-    for perm, bitmap in _BIPARTITION_TABLES:
-        k33_mask = 0
-        for d in _iter_bits(k6_mask):
-            if bitmap[d] >= 0:
-                k33_mask |= 1 << bitmap[d]
-        k33 = _materialize_k33(pts, perm)
-        expected = crossing_structure(k33).pairs
-        assert _pairs_of(k33_mask, _K33_PAIRS, _K33_EDGES) == expected
+    assert crossing_mask(orientation_signs(pts), 6) == crossing_mask_of(k6)
+    # the K_{3,3} drawings enumerate_classes reads off, per bipartition,
+    # cross exactly where the K_6 drawing does
+    for first, second in bipartitions_of_6():
+        new = {old: i for i, old in enumerate(sorted(first) + sorted(second))}
+
+        def relabel(e):
+            return tuple(sorted((new[e[0]], new[e[1]])))
+
+        def across(e):
+            return (e[0] in first) != (e[1] in first)
+
+        expected = {
+            ordered_pair(relabel(e), relabel(f))
+            for e, f in crossing_structure(k6)
+            if across(e) and across(f)
+        }
+        k33 = _materialize_k33(pts, first, second)
+        assert crossing_structure(k33).pairs == expected
+        assert crossing_mask_of(k33) == sum(1 << _MASK_BIT["k33"][p] for p in expected)
+
+
+@pytest.mark.parametrize("target", ["k33", "k6"])
+@settings(max_examples=150, deadline=None)
+@given(drawing_points, drawing_points, st.permutations(range(6)))
+def test_same_orbit_iff_geo_isomorphic(target, pts_a, pts_b, perm):
+    a = _draw(target, pts_a)
+    orbit = mask_orbit(target, crossing_mask_of(a))
+    # relabeling a K_{3,3} drawing moves its bipartition, so the copy may
+    # or may not be isomorphic; a K_6 copy always is
+    for other in (_draw(target, _relabeled(pts_a, perm)), _draw(target, pts_b)):
+        same_orbit = crossing_mask_of(other) in orbit
+        assert same_orbit == (geo_isomorphic(a, other) is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawing_points, drawing_points)
+def test_table_order_matches_search(pts_a, pts_b):
+    a, b = _draw("k33", pts_a), _draw("k33", pts_b)
+    assume(crossing_mask_of(b) not in mask_orbit("k33", crossing_mask_of(a)))
+    atlas = Atlas("k33", [RealizationClass(r, signature(r)) for r in (a, b)])
+    leq = build_poset(atlas).leq
+    assert leq[0][1] == bool(find_geo_homomorphisms(a, b, injective=True))
+    assert leq[1][0] == bool(find_geo_homomorphisms(b, a, injective=True))
+
+
+@pytest.mark.parametrize("target", ["k33", "k6"])
+@settings(max_examples=100, deadline=None)
+@given(drawing_points, drawing_points, st.data())
+def test_geo_isomorphic_invariant_under_relabeling_and_reflection(
+    target, pts_a, pts_b, data
+):
+    perm = data.draw(st.sampled_from(AUTOMORPHISMS[target]))
+    reflect = data.draw(st.booleans())
+    moved = _relabeled(pts_a, perm)
+    if reflect:
+        moved = [(-x, y) for x, y in moved]
+    a, a_moved, b = _draw(target, pts_a), _draw(target, moved), _draw(target, pts_b)
+    witness = geo_isomorphic(a, a_moved)
+    assert witness is not None
+    assert is_geo_homomorphism(a, a_moved, witness)
+    assert (geo_isomorphic(a, b) is None) == (geo_isomorphic(a_moved, b) is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawing_points, drawing_points, drawing_points, st.data())
+def test_homomorphisms_compose(pts_a, pts_b, pts_c, data):
+    a, b, c = sorted(
+        (_draw("k33", pts) for pts in (pts_a, pts_b, pts_c)),
+        key=lambda r: len(crossing_structure(r)),
+    )
+    first = find_geo_homomorphisms(a, b, injective=False)
+    second = find_geo_homomorphisms(b, c, injective=False)
+    assume(first and second)
+    f = data.draw(st.sampled_from(first))
+    g = data.draw(st.sampled_from(second))
+    composite = VertexMap(6, 6, tuple(g(f(v)) for v in range(6)))
+    assert is_geo_homomorphism(a, c, composite)
 
 
 @settings(
