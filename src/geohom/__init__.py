@@ -58,6 +58,7 @@ from .atlas import (
     UnknownLabel,
     assign_paper_labels,
     crossing_histogram,
+    enumerate_atlases,
     enumerate_classes,
     load_atlas,
     save_atlas,

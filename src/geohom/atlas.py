@@ -10,9 +10,10 @@ precedes the other iff some mask of its orbit is a subset of the other's.
 Sampling dedups each 6-point configuration's K_6 mask in a memo that
 takes in a new class's whole orbit, so later drawings of the class are
 dict hits.  The ten K_{3,3} drawings of a configuration (one per
-bipartition) are read off only when it opens a K_6 class.  Enumeration
-stops once a configurable number of consecutive samples produces no new
-class, or raises BudgetExhausted with the partial result.
+bipartition) are read off only when it opens a K_6 class, so one pass
+over the samples yields both atlases.  Each target stops once a
+configurable number of consecutive samples produces no new class of it;
+a budget cut short raises BudgetExhausted with the partial result.
 """
 
 from __future__ import annotations
@@ -157,6 +158,13 @@ _MASK_BIT = {
     target: {pair: bit for bit, pair in enumerate(pairs)}
     for target, pairs in _MASK_PAIRS.items()
 }
+# per bipartition of bipartitions_of_6(): the K_6 mask bits whose two edges
+# both join its parts, i.e. the crossings of its K_{3,3} drawing
+JOINING_MASKS = tuple(
+    sum(1 << bit for bit, pair in enumerate(_MASK_PAIRS["k6"])
+        if all((a in first) != (b in first) for a, b in pair))
+    for first, _ in bipartitions_of_6()
+)
 
 
 def _target_of(r: GeometricRealization) -> str:
@@ -261,73 +269,89 @@ def _materialize_k33(pts, first, second):
     return make_realization(_K33_GRAPH, points, parts=_K33_PARTS)
 
 
-def enumerate_classes(target: str, cfg: EnumerationConfig | None = None) -> Atlas:
-    """All isomorphism classes of drawings of the target graph.
+def enumerate_atlases(
+    cfg: EnumerationConfig | None = None, targets=TARGETS
+) -> dict[str, Atlas]:
+    """All isomorphism classes of drawings of each target graph, from one
+    pass over the samples.
 
     Relabeling the points permutes the bipartitions and keeps each one's
     drawing isomorphic, so a sample's K_{3,3} classes depend only on its
     K_6 class: a K_{3,3} discovery count is the sum over K_6 classes of
     the K_6 count times the bipartitions landing in the K_{3,3} class.
+    Each target stops on its own window, where a pass for it alone would,
+    and its atlas is taken there; the pass ends once all have stopped.
 
-    Deterministic for a fixed config.  Raises BudgetExhausted when the
-    sample budget (or the grid) runs out before the stabilization window
-    is reached; the partial atlas rides on the exception.
+    Deterministic for a fixed config.  Raises BudgetExhausted for the
+    first target whose window the sample budget (or the grid) cut short;
+    its partial atlas rides on the exception.
     """
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}")
+    for target in targets:
+        if target not in TARGETS:
+            raise ValueError(f"unknown target {target!r}")
     if cfg is None:
         cfg = EnumerationConfig()
-    k6 = _Dedup("k6")
-    k33 = _Dedup("k33")
+    dedup = {target: _Dedup(target) for target in TARGETS}
     k6_counts: list[int] = []
-    # per K_6 class: the K_{3,3} class of each bipartition
-    k33_of_k6: list[list[int]] = []
+    # per target, per K_6 class: the target class of each of its drawings
+    of_k6: dict[str, list[list[int]]] = {target: [] for target in TARGETS}
+    # per target still sampling: where it stops unless a new class comes
+    stop_at = dict.fromkeys(targets, cfg.stabilization_window)
+    atlases: dict[str, Atlas] = {}
+
+    def close(target: str, complete: bool) -> None:
+        counts = [0] * len(dedup[target].reps)
+        for k6_count, ids in zip(k6_counts, of_k6[target]):
+            for idx in ids:
+                counts[idx] += k6_count
+        atlases[target] = Atlas(target, dedup[target].finalize(counts), complete)
+        del stop_at[target]
+
     samples = 0
-    quiet = 0
-    complete = False
     for pts in _point_sets(cfg):
         signs = orientation_signs(pts)
         if 0 in signs:
             continue
         samples += 1
-        k6_mask = crossing_mask(signs, 6)
-        k6_class, new_class = k6.observe(
-            k6_mask, lambda: make_realization(_K6_GRAPH, pts)
+        k6_class, opened = dedup["k6"].observe(
+            crossing_mask(signs, 6), lambda: make_realization(_K6_GRAPH, pts)
         )
-        if new_class:
+        if opened:
             k6_counts.append(0)
+            of_k6["k6"].append([k6_class])
+            new_in = ["k6"]
+            if "k33" in stop_at:
+                seen = [
+                    dedup["k33"].observe(crossing_mask_of(d), lambda d=d: d)
+                    for d in (_materialize_k33(pts, *p) for p in bipartitions_of_6())
+                ]
+                of_k6["k33"].append([idx for idx, _ in seen])
+                if any(new for _, new in seen):
+                    new_in.append("k33")
+            for target in stop_at.keys() & new_in:
+                stop_at[target] = samples + cfg.stabilization_window
         k6_counts[k6_class] += 1
-        if new_class and target == "k33":
-            new_class = False
-            ids = []
-            for first, second in bipartitions_of_6():
-                drawing = _materialize_k33(pts, first, second)
-                idx, opened = k33.observe(crossing_mask_of(drawing), lambda: drawing)
-                ids.append(idx)
-                new_class = new_class or opened
-            k33_of_k6.append(ids)
-        quiet = 0 if new_class else quiet + 1
-        if quiet >= cfg.stabilization_window:
-            complete = True
+        if samples in stop_at.values():
+            for target in [t for t, at in stop_at.items() if at == samples]:
+                close(target, True)
+        if not stop_at or samples >= cfg.max_samples:
             break
-        if samples >= cfg.max_samples:
-            break
-    if target == "k6":
-        classes = k6.finalize(k6_counts)
-    else:
-        counts = [0] * len(k33.reps)
-        for k6_count, ids in zip(k6_counts, k33_of_k6):
-            for idx in ids:
-                counts[idx] += k6_count
-        classes = k33.finalize(counts)
-    atlas = Atlas(target, classes, complete)
-    if not complete:
-        raise BudgetExhausted(
-            atlas,
-            f"stopped after {samples} samples with {len(atlas.classes)}"
-            " classes and no stabilization",
-        )
-    return atlas
+    for target in list(stop_at):
+        close(target, False)
+    for target in targets:
+        if not atlases[target].complete:
+            raise BudgetExhausted(
+                atlases[target],
+                f"stopped after {samples} samples with"
+                f" {len(atlases[target].classes)} classes and no stabilization",
+            )
+    return {target: atlases[target] for target in targets}
+
+
+def enumerate_classes(target: str, cfg: EnumerationConfig | None = None) -> Atlas:
+    """All isomorphism classes of drawings of the target graph; see
+    enumerate_atlases."""
+    return enumerate_atlases(cfg, (target,))[target]
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def _pinned(args):
     if getattr(args, "atlas", None):
         atlas = load_atlas(args.atlas)
         if atlas.target != "k33":
-            raise SystemExit("label queries need a k33 atlas")
+            raise ParseError("label queries need a k33 atlas")
     else:
         atlas = enumerate_classes("k33", _config_from(args))
     return pin_reference_labels(atlas)

@@ -132,6 +132,16 @@ def complete_bipartite_graph(a: int, b: int) -> AbstractGraph:
     )
 
 
+def line_graph(g: AbstractGraph) -> AbstractGraph:
+    """Graph on the edges of g in sorted_edges order, adjacent when they
+    share a vertex."""
+    edges = g.sorted_edges()
+    pairs = combinations(enumerate(edges), 2)
+    return AbstractGraph.from_edges(
+        len(edges), ((i, j) for (i, e), (j, f) in pairs if set(e) & set(f))
+    )
+
+
 def disjoint_union(*graphs: AbstractGraph) -> AbstractGraph:
     n = 0
     edges = []

@@ -20,6 +20,7 @@ from .graph_core import (
     canonical_label,
     canonical_two_colored_label,
     chromatic_number,
+    line_graph,
 )
 from .realization import (
     Edge,
@@ -114,17 +115,8 @@ def line_crossing_graph(r: GeometricRealization) -> TwoColoredGraph:
     vertex-disjoint.
     """
     index = edge_index_map(r)
-    edges = r.graph.sorted_edges()
-    solid = [
-        (index[e], index[f]) for e, f in crossing_structure(r)
-    ]
-    dashed = []
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            e, f = edges[i], edges[j]
-            if e[0] in f or e[1] in f:
-                dashed.append((i, j))
-    return TwoColoredGraph.from_edges(len(edges), solid, dashed)
+    solid = [(index[e], index[f]) for e, f in crossing_structure(r)]
+    return TwoColoredGraph.from_edges(len(index), solid, line_graph(r.graph).edges)
 
 
 def edge_thickness(r: GeometricRealization) -> int:
@@ -191,15 +183,11 @@ def edge_crossing_graph_to_dot(r: GeometricRealization) -> str:
 
 def line_crossing_graph_to_dot(r: GeometricRealization) -> str:
     """DOT rendering of the line/crossing graph (solid vs dashed styles)."""
-    edges = r.graph.sorted_edges()
+    name = [_edge_name(e) for e in r.graph.sorted_edges()]
     tg = line_crossing_graph(r)
-    name = {i: _edge_name(e) for i, e in enumerate(edges)}
-    lines = ["graph line_crossings {"]
-    for i in range(len(edges)):
-        lines.append(f'  "{name[i]}";')
-    for i, j in sorted(tg.solid_edges):
-        lines.append(f'  "{name[i]}" -- "{name[j]}" [style=solid];')
-    for i, j in sorted(tg.dashed_edges):
-        lines.append(f'  "{name[i]}" -- "{name[j]}" [style=dashed];')
+    lines = ["graph line_crossings {"] + [f'  "{v}";' for v in name]
+    for style, pairs in (("solid", tg.solid_edges), ("dashed", tg.dashed_edges)):
+        for i, j in sorted(pairs):
+            lines.append(f'  "{name[i]}" -- "{name[j]}" [style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,12 +16,14 @@ pruning rules and as machine-checkable certificates for non-precedence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .graph_core import (
     AbstractGraph,
     all_graph_automorphisms,
     graph_isomorphism,
+    line_graph,
     subgraph_embeds,
 )
 from .invariants import (
@@ -339,26 +341,10 @@ class PropReport:
         return not self.failed()
 
 
-_LINE_GRAPH_AUT_CACHE: dict[AbstractGraph, list[list[int]]] = {}
-
-
-def line_graph(g: AbstractGraph) -> AbstractGraph:
-    """Graph on the edges of g, adjacent when they share a vertex."""
-    edges = g.sorted_edges()
-    pairs = []
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            e, f = edges[i], edges[j]
-            if e[0] in f or e[1] in f:
-                pairs.append((i, j))
-    return AbstractGraph.from_edges(len(edges), pairs)
-
-
+@cache
 def line_graph_automorphisms(g: AbstractGraph) -> list[list[int]]:
     """All automorphisms of the line graph of g (cached per graph)."""
-    if g not in _LINE_GRAPH_AUT_CACHE:
-        _LINE_GRAPH_AUT_CACHE[g] = all_graph_automorphisms(line_graph(g))
-    return _LINE_GRAPH_AUT_CACHE[g]
+    return all_graph_automorphisms(line_graph(g))
 
 
 def _relabel_onto(

@@ -29,9 +29,6 @@ class HomPoset:
     def n(self) -> int:
         return len(self.leq)
 
-    def strictly_less(self, i: int, j: int) -> bool:
-        return i != j and self.leq[i][j]
-
     def label(self, i: int) -> str:
         cls = self.classes[i] if i < len(self.classes) else None
         return cls.label if cls is not None and cls.label else str(i)
@@ -201,14 +198,6 @@ class ExtremaReport:
     blocked_above_71_failures: list[str]
     blocked_above_72: bool
     blocked_above_72_failures: list[str]
-
-    def ok(self) -> bool:
-        return (
-            self.maximum is not None
-            and self.thickness2_below_71
-            and self.blocked_above_71
-            and self.blocked_above_72
-        )
 
 
 def extrema_and_thickness_check(

@@ -1,5 +1,6 @@
 """Session-wide artifacts: enumerations are expensive, so the atlases for
-both seeds, the labeled atlas, and the order are built once and shared."""
+both seeds (one enumeration pass per seed), the labeled atlas, and the
+order are built once and shared."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 from geohom.atlas import (
     EnumerationConfig,
     assign_paper_labels,
-    enumerate_classes,
+    enumerate_atlases,
 )
 from geohom.verify import pin_reference_labels
 
@@ -17,23 +18,33 @@ SEED_B = 101
 
 
 @pytest.fixture(scope="session")
-def atlas_k33_a():
-    return enumerate_classes("k33", EnumerationConfig(seed=SEED_A))
+def atlases_a():
+    return enumerate_atlases(EnumerationConfig(seed=SEED_A))
 
 
 @pytest.fixture(scope="session")
-def atlas_k33_b():
-    return enumerate_classes("k33", EnumerationConfig(seed=SEED_B))
+def atlases_b():
+    return enumerate_atlases(EnumerationConfig(seed=SEED_B))
 
 
 @pytest.fixture(scope="session")
-def atlas_k6_a():
-    return enumerate_classes("k6", EnumerationConfig(seed=SEED_A))
+def atlas_k33_a(atlases_a):
+    return atlases_a["k33"]
 
 
 @pytest.fixture(scope="session")
-def atlas_k6_b():
-    return enumerate_classes("k6", EnumerationConfig(seed=SEED_B))
+def atlas_k33_b(atlases_b):
+    return atlases_b["k33"]
+
+
+@pytest.fixture(scope="session")
+def atlas_k6_a(atlases_a):
+    return atlases_a["k6"]
+
+
+@pytest.fixture(scope="session")
+def atlas_k6_b(atlases_b):
+    return atlases_b["k6"]
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from geohom.atlas import (
     atlas_to_json,
     crossing_histogram,
     crossing_mask_of,
+    enumerate_atlases,
     enumerate_classes,
     load_atlas,
     mask_orbit,
@@ -69,6 +70,8 @@ def test_config_validation():
         EnumerationConfig(max_samples=0)
     with pytest.raises(ValueError):
         enumerate_classes("k5", quick_cfg())
+    with pytest.raises(ValueError, match="unknown target 'k5'"):
+        enumerate_atlases(quick_cfg(), ("k33", "k5"))
 
 
 def test_k33_class_count(quick_atlas):
@@ -158,6 +161,38 @@ def test_k33_discovery_counts_match_a_per_sample_count():
             (home,) = [i for i, orbit in enumerate(orbits) if mask in orbit]
             counts[home] += 1
     assert counts == [c.discovery_count for c in classes]
+
+
+def _samples(atlas):
+    """Samples drawn up to the atlas's stop: each draws one K_6 drawing or
+    ten K_{3,3} drawings."""
+    drawings = sum(c.discovery_count for c in atlas.classes)
+    return drawings // 10 if atlas.target == "k33" else drawings
+
+
+def test_one_pass_matches_single_target_passes():
+    # at seed 0 the last new K_{3,3} class comes at sample 328 and the last
+    # new K_6 class at 763, so the two targets stop at different samples
+    cfg = EnumerationConfig(seed=0, stabilization_window=500)
+    both = enumerate_atlases(cfg)
+    assert list(both) == ["k33", "k6"]
+    assert (_samples(both["k33"]), _samples(both["k6"])) == (828, 1263)
+    for target, atlas in both.items():
+        assert atlas_to_json(atlas) == atlas_to_json(enumerate_classes(target, cfg))
+
+
+def test_one_pass_budget_cuts_only_the_later_target():
+    cfg = EnumerationConfig(seed=0, stabilization_window=500, max_samples=1000)
+    assert enumerate_classes("k33", cfg).complete
+    with pytest.raises(BudgetExhausted) as single:
+        enumerate_classes("k6", cfg)
+    with pytest.raises(BudgetExhausted) as both:
+        enumerate_atlases(cfg)
+    assert str(both.value) == str(single.value)
+    assert str(single.value) == (
+        "stopped after 1000 samples with 15 classes and no stabilization"
+    )
+    assert atlas_to_json(both.value.atlas) == atlas_to_json(single.value.atlas)
 
 
 def test_labeling(quick_labeled):

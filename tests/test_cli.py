@@ -80,7 +80,7 @@ def test_verify_rejects_empty_check_before_enumerating(flag, monkeypatch, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr("geohom.verify.enumerate_classes", refuse)
+    monkeypatch.setattr("geohom.verify.enumerate_atlases", refuse)
     assert run(["verify", flag, "0"]) == 2
     assert "must be positive" in capsys.readouterr().err
 
@@ -144,6 +144,15 @@ def test_hom_unknown_label(tmp_path, capsys):
     rc = run(["hom", "3.9", "5.1", "--atlas", str(atlas)])
     assert rc == 1
     assert "unknown label" in capsys.readouterr().err
+
+
+def test_label_query_on_k6_atlas_is_an_error(tmp_path, capsys):
+    atlas = tmp_path / "k6.json"
+    run(["enumerate", "--graph", "k6", "--seed", "7", *FAST, "--out", str(atlas)])
+    capsys.readouterr()
+    assert run(["hom", "3.1", "5.1", "--atlas", str(atlas)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: label queries need a k33 atlas"]
 
 
 def test_poset_outputs(tmp_path, capsys):

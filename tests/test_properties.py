@@ -1,9 +1,12 @@
 """Property tests: the orientation-table kernel against the independent
 rational predicate, the atlas masks against the realization's crossing
 structure, the symmetry tables against the isomorphism and homomorphism
-searches, and the pinned order against a fresh build."""
+searches, canonical labels against the isomorphism search, and the
+pinned order against a fresh build."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from geohom.atlas import (
     _MASK_BIT,
+    JOINING_MASKS,
     _materialize_k33,
     Atlas,
     RealizationClass,
@@ -25,9 +29,12 @@ from geohom.exact_geometry import (
     orientation_signs,
 )
 from geohom.graph_core import (
+    AbstractGraph,
     all_graph_automorphisms,
+    canonical_label,
     complete_bipartite_graph,
     complete_graph,
+    graph_isomorphism,
 )
 from geohom.invariants import signature
 from geohom.morphisms import (
@@ -116,6 +123,51 @@ def test_atlas_masks_match_crossing_structure(pts):
         k33 = _materialize_k33(pts, first, second)
         assert crossing_structure(k33).pairs == expected
         assert crossing_mask_of(k33) == sum(1 << _MASK_BIT["k33"][p] for p in expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawing_points)
+def test_joining_masks_count_bipartition_crossings(pts):
+    k6_mask = crossing_mask(orientation_signs(pts), 6)
+    for (first, second), joining in zip(bipartitions_of_6(), JOINING_MASKS):
+        k33 = _materialize_k33(pts, first, second)
+        assert (k6_mask & joining).bit_count() == len(crossing_structure(k33))
+
+
+def _edge(u, v):
+    return (min(u, v), max(u, v))
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph and a relabeled copy of it, the copy often rewired by one
+    degree-preserving swap: ab, cd become ac, bd, which may or may not
+    change the isomorphism class."""
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    swaps = [
+        ((a, b), (c, d))
+        for (a, b), (c, d) in combinations(sorted(edges), 2)
+        if len({a, b, c, d}) == 4
+        and _edge(a, c) not in edges
+        and _edge(b, d) not in edges
+    ]
+    other = set(edges)
+    if swaps and draw(st.booleans()):
+        (a, b), (c, d) = draw(st.sampled_from(swaps))
+        other = other - {(a, b), (c, d)} | {_edge(a, c), _edge(b, d)}
+    perm = draw(st.permutations(range(n)))
+    moved = [(perm[u], perm[v]) for u, v in other]
+    return AbstractGraph.from_edges(n, edges), AbstractGraph.from_edges(n, moved)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_pairs())
+def test_canonical_label_agrees_with_isomorphism(graphs):
+    g, h = graphs
+    same_label = canonical_label(g) == canonical_label(h)
+    assert same_label == (graph_isomorphism(g, h) is not None)
 
 
 @pytest.mark.parametrize("target", ["k33", "k6"])

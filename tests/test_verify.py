@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from geohom import atlas
 from geohom.poset import build_poset, poset_to_json
 from geohom.verify import (
     check_oracle_equivalence,
@@ -84,6 +85,35 @@ def test_poset_file_validation(tmp_path, hom_poset):
     result = check_poset_structure(art, bad_path)
     assert not result.passed
     assert "supplied poset" in result.detail or "differs" in result.detail
+
+    # malformed shapes are reported as one problem each, not raised
+    good = json.loads(path.read_text())
+    for field, value, problem in (
+        ("leq", good["leq"][:-1] + [good["leq"][-1][:-1]], "leq is not 19x19"),
+        (
+            "hasse_edges",
+            good["hasse_edges"] + [[0]],
+            "a Hasse edge is not a pair of indices below 19",
+        ),
+        ("labels", 5, "labels is not a list of strings"),
+    ):
+        bad_path.write_text(json.dumps({**good, field: value}))
+        result = check_poset_structure(art, bad_path)
+        assert not result.passed
+        assert result.detail == f"supplied poset: {problem}"
+
+
+def test_build_artifacts_samples_each_seed_once(monkeypatch):
+    calls = []
+    point_sets = atlas._point_sets
+
+    def counted(cfg):
+        calls.append(cfg.seed)
+        return point_sets(cfg)
+
+    monkeypatch.setattr(atlas, "_point_sets", counted)
+    build_artifacts(window=3000, max_samples=100_000)
+    assert calls == [7, 101]
 
 
 def test_empty_checks_rejected():
