@@ -7,13 +7,18 @@ bit permutations its automorphisms induce (built on first use).  Two
 drawings are isomorphic iff one mask lies in the other's orbit, and one
 precedes the other iff some mask of its orbit is a subset of the other's.
 
-Sampling dedups each 6-point configuration's K_6 mask in a memo that
-takes in a new class's whole orbit, so later drawings of the class are
-dict hits.  The ten K_{3,3} drawings of a configuration (one per
-bipartition) are read off only when it opens a K_6 class, so one pass
-over the samples yields both atlases.  Each target stops once a
+A sample costs one kernel call and one dict lookup: the 6-point
+configuration's packed chirotope (``chirotope_code``) keys a memo of K_6
+classes.  Six points have at most 11,904 labeled chirotopes, so the rest
+runs only on a miss, and only a miss can open a class: the K_6 mask is
+built from the chirotope and deduped in a mask memo that takes in a new
+class's whole orbit.  The ten K_{3,3} drawings of a configuration (one
+per bipartition) are read off only when it opens a K_6 class, so one
+pass over the samples yields both atlases.  Each target stops once a
 configurable number of consecutive samples produces no new class of it;
 a budget cut short raises BudgetExhausted with the partial result.
+Random configurations come from ``random_point_sets``, the one seeded
+generator, which the parity check in ``verify`` draws from too.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from itertools import combinations
 
 from .exact_geometry import (
     COORDINATE_LIMIT,
+    chirotope_code,
+    chirotope_signs,
     crossing_mask,
     disjoint_edge_pairs,
-    orientation_signs,
 )
 from .graph_core import (
     AbstractGraph,
@@ -243,23 +249,33 @@ class _Dedup:
         ]
 
 
+def random_point_sets(seed: int, bound: int):
+    """Endless seeded 6-point sets with coordinates in [-bound, bound].
+
+    Each coordinate is the getrandbits rejection loop behind CPython's
+    randrange(-bound, bound + 1), inlined: the same points, drawn faster.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    width = 2 * bound + 1
+    k = width.bit_length()
+    while True:
+        pts = []
+        for _ in range(6):
+            x = getrandbits(k)
+            while x >= width:
+                x = getrandbits(k)
+            y = getrandbits(k)
+            while y >= width:
+                y = getrandbits(k)
+            pts.append((x - bound, y - bound))
+        yield pts
+
+
 def _point_sets(cfg: EnumerationConfig):
     if cfg.mode == "random":
-        rng = random.Random(cfg.seed)
-        bound = cfg.coordinate_bound
-        while True:
-            yield [
-                (rng.randrange(-bound, bound + 1), rng.randrange(-bound, bound + 1))
-                for _ in range(6)
-            ]
-    else:
-        grid = [
-            (x, y)
-            for x in range(cfg.coordinate_bound + 1)
-            for y in range(cfg.coordinate_bound + 1)
-        ]
-        for combo in combinations(grid, 6):
-            yield list(combo)
+        return random_point_sets(cfg.seed, cfg.coordinate_bound)
+    side = range(cfg.coordinate_bound + 1)
+    return combinations([(x, y) for x in side for y in side], 6)
 
 
 def _materialize_k33(pts, first, second):
@@ -307,29 +323,37 @@ def enumerate_atlases(
         atlases[target] = Atlas(target, dedup[target].finalize(counts), complete)
         del stop_at[target]
 
+    # packed chirotope -> K_6 class: equal chirotopes have equal masks, so
+    # the mask is built and deduped only on a miss, and only a miss opens
+    by_code: dict[int, int] = {}
     samples = 0
     for pts in _point_sets(cfg):
-        signs = orientation_signs(pts)
-        if 0 in signs:
+        code = chirotope_code(pts)
+        if code is None:
             continue
         samples += 1
-        k6_class, opened = dedup["k6"].observe(
-            crossing_mask(signs, 6), lambda: make_realization(_K6_GRAPH, pts)
-        )
-        if opened:
-            k6_counts.append(0)
-            of_k6["k6"].append([k6_class])
-            new_in = ["k6"]
-            if "k33" in stop_at:
-                seen = [
-                    dedup["k33"].observe(crossing_mask_of(d), lambda d=d: d)
-                    for d in (_materialize_k33(pts, *p) for p in bipartitions_of_6())
-                ]
-                of_k6["k33"].append([idx for idx, _ in seen])
-                if any(new for _, new in seen):
-                    new_in.append("k33")
-            for target in stop_at.keys() & new_in:
-                stop_at[target] = samples + cfg.stabilization_window
+        k6_class = by_code.get(code)
+        if k6_class is None:
+            k6_class, opened = dedup["k6"].observe(
+                crossing_mask(chirotope_signs(code), 6),
+                lambda: make_realization(_K6_GRAPH, pts),
+            )
+            by_code[code] = k6_class
+            if opened:
+                k6_counts.append(0)
+                of_k6["k6"].append([k6_class])
+                new_in = ["k6"]
+                if "k33" in stop_at:
+                    drawings = [_materialize_k33(pts, *p) for p in bipartitions_of_6()]
+                    seen = [
+                        dedup["k33"].observe(crossing_mask_of(d), lambda d=d: d)
+                        for d in drawings
+                    ]
+                    of_k6["k33"].append([idx for idx, _ in seen])
+                    if any(new for _, new in seen):
+                        new_in.append("k33")
+                for target in stop_at.keys() & new_in:
+                    stop_at[target] = samples + cfg.stabilization_window
         k6_counts[k6_class] += 1
         if samples in stop_at.values():
             for target in [t for t, at in stop_at.items() if at == samples]:
@@ -569,6 +593,16 @@ def atlas_from_json(text: str) -> Atlas:
         if missing:
             raise ParseError(f"{where}: missing fields {sorted(missing)}")
         label = record["label"]
+        provisional = record["provisional"]
+        count = record["discovery_count"]
+        if label is not None and not isinstance(label, str):
+            raise ParseError(f"{where}: label {label!r} is neither null nor a string")
+        if not isinstance(provisional, bool):
+            raise ParseError(f"{where}: provisional {provisional!r} is not a bool")
+        if type(count) is not int or count < 0:
+            raise ParseError(
+                f"{where}: discovery_count {count!r} is not a non-negative integer"
+            )
         if label is not None:
             if label in labels_seen:
                 raise ParseError(f"{where}: duplicate label {label!r}")
@@ -594,8 +628,8 @@ def atlas_from_json(text: str) -> Atlas:
                 representative=rep,
                 signature=sig,
                 label=label,
-                provisional=bool(record["provisional"]),
-                discovery_count=int(record["discovery_count"]),
+                provisional=provisional,
+                discovery_count=count,
             )
         )
     if target is None:

@@ -8,7 +8,10 @@ value fits comfortably in a machine word even outside CPython.
 Every crossing decision comes from one table, the chirotope: the signs
 of all index triples of a point set (``orientation_signs``).  Disjoint
 segments ab and cd cross iff c, d lie on opposite sides of ab and a, b
-lie on opposite sides of cd (``crossing_mask``).
+lie on opposite sides of cd (``crossing_mask``).  For six points the
+table also comes packed into one int (``chirotope_code``, one bit per
+triple), from straight-line code over the 15 pairwise cross products;
+``chirotope_signs`` unpacks it for ``crossing_mask``.
 """
 
 from __future__ import annotations
@@ -88,6 +91,142 @@ def orientation_signs(pts) -> list[int]:
         det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         signs.append((det > 0) - (det < 0))
     return signs
+
+
+def chirotope_code(pts) -> int | None:
+    """The chirotope of six (x, y) int pairs packed into an int: bit t is
+    set iff orientation_signs(pts)[t] is +1.  None at the first zero sign
+    (a collinear triple or a repeated point).
+
+    Written out in full, as the hot path of sampling: with the 15 cross
+    products c_ij = x_i y_j - y_i x_j, the orientation determinant of
+    triple (i, j, k) is exactly c_ij + c_jk - c_ik.
+    """
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5) = pts
+    c01 = x0 * y1 - y0 * x1
+    c02 = x0 * y2 - y0 * x2
+    c12 = x1 * y2 - y1 * x2
+    d = c01 + c12 - c02
+    if d > 0:
+        code = 1
+    elif d:
+        code = 0
+    else:
+        return None
+    c03 = x0 * y3 - y0 * x3
+    c13 = x1 * y3 - y1 * x3
+    d = c01 + c13 - c03
+    if d > 0:
+        code |= 1 << 1
+    elif not d:
+        return None
+    c04 = x0 * y4 - y0 * x4
+    c14 = x1 * y4 - y1 * x4
+    d = c01 + c14 - c04
+    if d > 0:
+        code |= 1 << 2
+    elif not d:
+        return None
+    c05 = x0 * y5 - y0 * x5
+    c15 = x1 * y5 - y1 * x5
+    d = c01 + c15 - c05
+    if d > 0:
+        code |= 1 << 3
+    elif not d:
+        return None
+    c23 = x2 * y3 - y2 * x3
+    d = c02 + c23 - c03
+    if d > 0:
+        code |= 1 << 4
+    elif not d:
+        return None
+    c24 = x2 * y4 - y2 * x4
+    d = c02 + c24 - c04
+    if d > 0:
+        code |= 1 << 5
+    elif not d:
+        return None
+    c25 = x2 * y5 - y2 * x5
+    d = c02 + c25 - c05
+    if d > 0:
+        code |= 1 << 6
+    elif not d:
+        return None
+    c34 = x3 * y4 - y3 * x4
+    d = c03 + c34 - c04
+    if d > 0:
+        code |= 1 << 7
+    elif not d:
+        return None
+    c35 = x3 * y5 - y3 * x5
+    d = c03 + c35 - c05
+    if d > 0:
+        code |= 1 << 8
+    elif not d:
+        return None
+    c45 = x4 * y5 - y4 * x5
+    d = c04 + c45 - c05
+    if d > 0:
+        code |= 1 << 9
+    elif not d:
+        return None
+    d = c12 + c23 - c13
+    if d > 0:
+        code |= 1 << 10
+    elif not d:
+        return None
+    d = c12 + c24 - c14
+    if d > 0:
+        code |= 1 << 11
+    elif not d:
+        return None
+    d = c12 + c25 - c15
+    if d > 0:
+        code |= 1 << 12
+    elif not d:
+        return None
+    d = c13 + c34 - c14
+    if d > 0:
+        code |= 1 << 13
+    elif not d:
+        return None
+    d = c13 + c35 - c15
+    if d > 0:
+        code |= 1 << 14
+    elif not d:
+        return None
+    d = c14 + c45 - c15
+    if d > 0:
+        code |= 1 << 15
+    elif not d:
+        return None
+    d = c23 + c34 - c24
+    if d > 0:
+        code |= 1 << 16
+    elif not d:
+        return None
+    d = c23 + c35 - c25
+    if d > 0:
+        code |= 1 << 17
+    elif not d:
+        return None
+    d = c24 + c45 - c25
+    if d > 0:
+        code |= 1 << 18
+    elif not d:
+        return None
+    d = c34 + c45 - c35
+    if d > 0:
+        code |= 1 << 19
+    elif not d:
+        return None
+    return code
+
+
+
+def chirotope_signs(code: int) -> list[int]:
+    """The orientation_signs of six points from their chirotope_code."""
+    return [1 if code >> t & 1 else -1 for t in range(20)]
 
 
 @cache

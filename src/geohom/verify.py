@@ -36,12 +36,14 @@ from .atlas import (
     crossing_histogram,
     enumerate_atlases,
     load_atlas,
+    random_point_sets,
 )
 from .exact_geometry import (
     Point,
     Segment,
+    chirotope_code,
+    chirotope_signs,
     crossing_mask,
-    orientation_signs,
     proper_cross,
     segments_cross_rational,
 )
@@ -310,19 +312,15 @@ def check_parity_property(
 ) -> CheckResult:
     """Every K_{3,3} drawing has an odd crossing count.  Each point set is
     drawn once, as a K_6 crossing mask: a bipartition's drawing crosses in
-    exactly the K_6 pairs whose two edges both join the parts."""
+    exactly the K_6 pairs whose two edges both join the parts.  The point
+    sets come from the atlas's seeded generator; every mask is computed."""
     _require_positive(sample_count, "parity sample count")
-    rng = random.Random(seed)
     checked = 0
-    while checked < sample_count:
-        pts = [
-            (rng.randrange(-1000, 1001), rng.randrange(-1000, 1001))
-            for _ in range(6)
-        ]
-        signs = orientation_signs(pts)
-        if 0 in signs:
+    for pts in random_point_sets(seed, 1000):
+        code = chirotope_code(pts)
+        if code is None:
             continue
-        mask = crossing_mask(signs, 6)
+        mask = crossing_mask(chirotope_signs(code), 6)
         for parts, joining in zip(bipartitions_of_6(), JOINING_MASKS):
             c = (mask & joining).bit_count()
             if c % 2 == 0:
@@ -333,6 +331,8 @@ def check_parity_property(
                     f" parts {sorted(map(sorted, parts))}",
                 )
         checked += 1
+        if checked == sample_count:
+            break
     return CheckResult(
         "parity-property",
         True,

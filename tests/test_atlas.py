@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -28,7 +29,13 @@ from geohom.atlas import (
     save_atlas,
     symmetry_table,
 )
-from geohom.exact_geometry import Point, in_general_position
+from geohom.exact_geometry import (
+    Point,
+    chirotope_code,
+    chirotope_signs,
+    crossing_mask,
+    in_general_position,
+)
 from geohom.graph_core import ParseError
 from geohom.invariants import signature, signature_to_dict
 from geohom.morphisms import geo_isomorphic
@@ -181,6 +188,48 @@ def test_one_pass_matches_single_target_passes():
         assert atlas_to_json(atlas) == atlas_to_json(enumerate_classes(target, cfg))
 
 
+# sha256 of atlas_to_json at fixed configs: a faster sampler must draw the
+# same points and keep every atlas byte
+ATLAS_DIGESTS = {
+    ("k33", "random"): "b6491a1c17512445e6cad5ba09024bc3a1352e4caed65559065d1d238445e766",
+    ("k6", "random"): "aa122f33dcf28bd52caaf53a0b82eb91bf088a2212700ed2faa53123a9a78075",
+    ("k33", "grid"): "c239752eaeea396793b298fe4bfc6a48961065bc5b6e3913f09824617589d90a",
+    ("k6", "grid"): "da5e379c0429a6f5b9cfd8087f26e6d5b45719d47e92136bb811080d26f7dfeb",
+}
+
+
+@pytest.mark.parametrize("target, mode", list(ATLAS_DIGESTS))
+def test_atlas_bytes_pinned(target, mode):
+    if mode == "random":
+        cfg = EnumerationConfig(seed=0, stabilization_window=500)
+    else:
+        cfg = EnumerationConfig(mode="grid", coordinate_bound=5)
+    text = atlas_to_json(enumerate_classes(target, cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == ATLAS_DIGESTS[target, mode]
+
+
+def test_crossing_mask_built_once_per_chirotope(monkeypatch):
+    drawn, masks = [], []
+
+    def recording(cfg):
+        for pts in _point_sets(cfg):
+            drawn.append(pts)
+            yield pts
+
+    def counted(signs, n):
+        masks.append(tuple(signs))
+        return crossing_mask(signs, n)
+
+    monkeypatch.setattr("geohom.atlas._point_sets", recording)
+    monkeypatch.setattr("geohom.atlas.crossing_mask", counted)
+    both = enumerate_atlases(EnumerationConfig(seed=0, stabilization_window=500))
+    codes = [chirotope_code(pts) for pts in drawn]
+    distinct = {code for code in codes if code is not None}
+    assert _samples(both["k6"]) == len(codes) - codes.count(None) == 1263
+    assert len(masks) == len(set(masks)) == len(distinct) < 1263
+    assert set(masks) == {tuple(chirotope_signs(code)) for code in distinct}
+
+
 def test_one_pass_budget_cuts_only_the_later_target():
     cfg = EnumerationConfig(seed=0, stabilization_window=500, max_samples=1000)
     assert enumerate_classes("k33", cfg).complete
@@ -275,6 +324,27 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('[{"label": null}]')
     with pytest.raises(ParseError):
         load_atlas(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("discovery_count", "x", "is not a non-negative integer"),
+        ("discovery_count", -1, "is not a non-negative integer"),
+        ("discovery_count", 2.5, "is not a non-negative integer"),
+        ("discovery_count", True, "is not a non-negative integer"),
+        ("label", ["a"], "is neither null nor a string"),
+        ("label", 3, "is neither null nor a string"),
+        ("provisional", "no", "is not a bool"),
+        ("provisional", 0, "is not a bool"),
+    ],
+)
+def test_load_rejects_malformed_fields(quick_labeled, field, value, problem):
+    records = json.loads(atlas_to_json(quick_labeled))
+    records[2][field] = value
+    with pytest.raises(ParseError) as info:
+        atlas_from_json(json.dumps(records))
+    assert str(info.value) == f"record 2: {field} {value!r} {problem}"
 
 
 def test_load_rejects_mixed_targets(quick_labeled, tmp_path):

@@ -99,6 +99,20 @@ def test_tampered_atlas_rejected(tmp_path, capsys):
     assert "stored signature" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("discovery_count", "x"), ("label", ["a"])])
+def test_malformed_record_is_an_error(field, value, tmp_path, capsys):
+    atlas = tmp_path / "atlas.json"
+    run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])
+    records = json.loads(atlas.read_text())
+    records[0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert run(["hom", "3.1", "5.1", "--atlas", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: record 0: {field} ")
+
+
 def test_foreign_vertex_layout_rejected(tmp_path, capsys):
     atlas = tmp_path / "atlas.json"
     run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])

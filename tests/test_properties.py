@@ -1,12 +1,15 @@
 """Property tests: the orientation-table kernel against the independent
-rational predicate, the atlas masks against the realization's crossing
-structure, the symmetry tables against the isomorphism and homomorphism
-searches, canonical labels against the isomorphism search, and the
-pinned order against a fresh build."""
+rational predicate, the packed six-point chirotope against the
+orientation table, the seeded point generator against randrange, the
+atlas masks against the realization's crossing structure, the symmetry
+tables against the isomorphism and homomorphism searches, canonical
+labels against the isomorphism search, and the pinned order against a
+fresh build."""
 
 from __future__ import annotations
 
-from itertools import combinations
+import random
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -20,10 +23,13 @@ from geohom.atlas import (
     RealizationClass,
     crossing_mask_of,
     mask_orbit,
+    random_point_sets,
 )
 from geohom.exact_geometry import (
     COORDINATE_LIMIT,
     Point,
+    chirotope_code,
+    chirotope_signs,
     crossing_mask,
     in_general_position,
     orientation_signs,
@@ -96,6 +102,51 @@ def test_kernel_matches_rational_predicate(pts):
     assume(_general_position(pts))
     r = make_realization(K6, pts)
     assert crossing_structure(r) == rational_crossing_structure(r)
+
+
+@st.composite
+def degenerate_prone_points(draw):
+    """Six points, often with a repeated point or a collinear triple, and
+    often with coordinates at +-COORDINATE_LIMIT."""
+    extreme = st.sampled_from([-COORDINATE_LIMIT, COORDINATE_LIMIT])
+    value = st.one_of(coordinate, extreme)
+    pts = draw(st.lists(st.tuples(value, value), min_size=6, max_size=6))
+    i, j, k = draw(st.permutations(range(6)))[:3]
+    how = draw(st.sampled_from(["as drawn", "repeated", "collinear"]))
+    if how == "repeated":
+        pts[j] = pts[i]
+    elif how == "collinear":
+        # step p_j at most one unit toward p_i so that their midpoint, which
+        # becomes p_k, is a lattice point in range
+        (xi, yi), (xj, yj) = pts[i], pts[j]
+        xj -= (xj - xi) % 2 * ((xj > xi) - (xj < xi))
+        yj -= (yj - yi) % 2 * ((yj > yi) - (yj < yi))
+        pts[j], pts[k] = (xj, yj), ((xi + xj) // 2, (yi + yj) // 2)
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_prone_points())
+def test_chirotope_code_packs_orientation_signs(pts):
+    signs = orientation_signs(pts)
+    code = chirotope_code(pts)
+    assert (code is None) == (0 in signs)
+    if code is not None:
+        assert code == sum(1 << t for t, sign in enumerate(signs) if sign > 0)
+        assert chirotope_signs(code) == signs
+
+
+@pytest.mark.parametrize("bound", [2, 1000, 1 << 20])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_random_point_sets_draw_the_randrange_sequence(bound, seed):
+    rng = random.Random(seed)
+
+    def draw():
+        return rng.randrange(-bound, bound + 1)
+
+    expected = [[(draw(), draw()) for _ in range(6)] for _ in range(200)]
+    assert list(islice(random_point_sets(seed, bound), 200)) == expected
 
 
 @settings(max_examples=300, deadline=None)
