@@ -7,18 +7,25 @@ bit permutations its automorphisms induce (built on first use).  Two
 drawings are isomorphic iff one mask lies in the other's orbit, and one
 precedes the other iff some mask of its orbit is a subset of the other's.
 
+Which classes exist is proven, not sampled: ``proven_classes`` takes the
+11,904 labeled chirotopes of six points (``chirotopes_of_six``), their
+4,524 distinct K_6 masks and the K_{3,3} masks of those, and maps each
+mask to its orbit: 15 classes for K_6, 19 for K_{3,3}.  Sampling finds a
+representative drawing of each.
+
 A sample costs one kernel call and one dict lookup: the 6-point
 configuration's packed chirotope (``chirotope_code``) keys a memo of K_6
-classes.  Six points have at most 11,904 labeled chirotopes, so the rest
-runs only on a miss, and only a miss can open a class: the K_6 mask is
-built from the chirotope and deduped in a mask memo that takes in a new
-class's whole orbit.  The ten K_{3,3} drawings of a configuration (one
-per bipartition) are read off only when it opens a K_6 class, so one
-pass over the samples yields both atlases.  Each target stops once a
-configurable number of consecutive samples produces no new class of it;
-a budget cut short raises BudgetExhausted with the partial result.
-Random configurations come from ``random_point_sets``, the one seeded
-generator, which the parity check in ``verify`` draws from too.
+classes, so the rest runs only on a miss, and only a miss can open a
+class: the K_6 mask is built from the chirotope and looked up among the
+proven classes.  The ten K_{3,3} masks of
+a configuration (one per bipartition, ``k33_masks``) are read off only
+when it opens a K_6 class, so one pass over the samples yields both
+atlases.  A target is complete at the sample that gives it its last
+proven class.  One that goes a configurable number of samples without a
+new class, or runs out of budget, raises BudgetExhausted with the
+partial result.  Random configurations come from ``random_point_sets``,
+the one seeded generator, which the parity check in ``verify`` draws
+from too.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .exact_geometry import (
     COORDINATE_LIMIT,
     chirotope_code,
     chirotope_signs,
+    chirotopes_of_six,
     crossing_mask,
     disjoint_edge_pairs,
 )
@@ -71,7 +79,8 @@ TARGETS = ("k33", "k6")
 
 
 class BudgetExhausted(RuntimeError):
-    """Enumeration stopped before stabilizing; .atlas holds the partial result."""
+    """Enumeration stopped before finding every class; .atlas holds the
+    partial result."""
 
     def __init__(self, atlas: "Atlas", message: str):
         super().__init__(message)
@@ -164,13 +173,35 @@ _MASK_BIT = {
     target: {pair: bit for bit, pair in enumerate(pairs)}
     for target, pairs in _MASK_PAIRS.items()
 }
+
+
+def _k33_source_bits(first, second) -> tuple[int, ...]:
+    """Per K_{3,3} mask bit: the K_6 mask bit of the same edge pair, with
+    parts first | second relabeled onto {0,1,2} | {3,4,5} in sorted order
+    (as _materialize_k33 relabels the points)."""
+    old = sorted(first) + sorted(second)
+
+    def edge(e):
+        return tuple(sorted((old[e[0]], old[e[1]])))
+
+    return tuple(
+        _MASK_BIT["k6"][ordered_pair(edge(e), edge(f))] for e, f in _MASK_PAIRS["k33"]
+    )
+
+
+_K33_SOURCE_BITS = tuple(_k33_source_bits(*parts) for parts in bipartitions_of_6())
 # per bipartition of bipartitions_of_6(): the K_6 mask bits whose two edges
 # both join its parts, i.e. the crossings of its K_{3,3} drawing
-JOINING_MASKS = tuple(
-    sum(1 << bit for bit, pair in enumerate(_MASK_PAIRS["k6"])
-        if all((a in first) != (b in first) for a, b in pair))
-    for first, _ in bipartitions_of_6()
-)
+JOINING_MASKS = tuple(sum(1 << bit for bit in bits) for bits in _K33_SOURCE_BITS)
+
+
+def k33_masks(k6_mask: int) -> list[int]:
+    """The crossing masks of the ten K_{3,3} drawings (one per bipartition
+    of bipartitions_of_6()) within a K_6 drawing with this mask."""
+    return [
+        sum(1 << d for d, bit in enumerate(bits) if k6_mask >> bit & 1)
+        for bits in _K33_SOURCE_BITS
+    ]
 
 
 def _target_of(r: GeometricRealization) -> str:
@@ -211,18 +242,56 @@ def mask_orbit(target: str, mask: int) -> frozenset[int]:
     )
 
 
+@cache
+def proven_classes(target: str) -> dict[int, int]:
+    """Every crossing mask a drawing of the target can have, mapped to its
+    class (0, 1, ...): the masks of one class form one orbit.  For K_6:
+    the 4,524 distinct masks of the chirotopes of chirotopes_of_six, in 15
+    classes (a chirotope and its negation cross alike, since a crossing
+    test compares products of two signs, so half the codes suffice).  For
+    K_{3,3}: the ten bipartition drawings of each K_6 class, in 19 classes
+    (relabeling a K_6 drawing only permutes its bipartitions, so one mask
+    per K_6 class suffices)."""
+    if target == "k6":
+        masks = (
+            crossing_mask(chirotope_signs(code), 6)
+            for code in chirotopes_of_six()
+            if code & 1
+        )
+    else:
+        one_per_class = {cls: mask for mask, cls in proven_classes("k6").items()}
+        masks = (m for mask in one_per_class.values() for m in k33_masks(mask))
+    classes: dict[int, int] = {}
+    count = 0
+    for mask in masks:
+        if mask not in classes:
+            classes.update(dict.fromkeys(mask_orbit(target, mask), count))
+            count += 1
+    return classes
+
+
+def proven_class_count(target: str) -> int:
+    """The number of classes of drawings of the target: 15 for K_6, 19 for
+    K_{3,3}."""
+    return len(set(proven_classes(target).values()))
+
+
 class _Dedup:
-    """Mask memo closed under the target's automorphisms: a new class
-    enters with its whole orbit, so every later drawing of it is a hit."""
+    """Atlas classes keyed by proven class: the first drawing of a proven
+    class opens an atlas class, and every later drawing of it is a hit."""
 
     def __init__(self, target: str):
         self.target = target
-        self.mask_to_class: dict[int, int] = {}
+        self.proven = proven_classes(target)
+        self.class_of: dict[int, int] = {}  # proven class -> atlas class
         self.reps: list[GeometricRealization] = []
 
     def observe(self, mask: int, materialize) -> tuple[int, bool]:
         """Class of one candidate drawing, and whether it opened the class."""
-        hit = self.mask_to_class.get(mask)
+        proven = self.proven.get(mask)
+        if proven is None:
+            raise AssertionError(f"a sampled {self.target} drawing lies in no proven class")
+        hit = self.class_of.get(proven)
         if hit is not None:
             return hit, False
         candidate = materialize()
@@ -232,8 +301,7 @@ class _Dedup:
             )
         idx = len(self.reps)
         self.reps.append(candidate)
-        for image in mask_orbit(self.target, mask):
-            self.mask_to_class[image] = idx
+        self.class_of[proven] = idx
         return idx, True
 
     def finalize(self, counts: list[int]) -> list[RealizationClass]:
@@ -288,32 +356,36 @@ def _materialize_k33(pts, first, second):
 def enumerate_atlases(
     cfg: EnumerationConfig | None = None, targets=TARGETS
 ) -> dict[str, Atlas]:
-    """All isomorphism classes of drawings of each target graph, from one
-    pass over the samples.
+    """A representative of every proven class of drawings of each target
+    graph, from one pass over the samples.
 
     Relabeling the points permutes the bipartitions and keeps each one's
     drawing isomorphic, so a sample's K_{3,3} classes depend only on its
     K_6 class: a K_{3,3} discovery count is the sum over K_6 classes of
     the K_6 count times the bipartitions landing in the K_{3,3} class.
-    Each target stops on its own window, where a pass for it alone would,
-    and its atlas is taken there; the pass ends once all have stopped.
+    Each target closes on its own, where a pass for it alone would: as
+    complete at the sample that gives it its last proven class, or as
+    incomplete after cfg.stabilization_window samples without a new class
+    of it.  The pass ends once all have closed.
 
     Deterministic for a fixed config.  Raises BudgetExhausted for the
-    first target whose window the sample budget (or the grid) cut short;
-    its partial atlas rides on the exception.
+    first target left incomplete (by its window, the sample budget or the
+    end of the grid); its partial atlas rides on the exception.
     """
     for target in targets:
         if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
     if cfg is None:
         cfg = EnumerationConfig()
+    wanted = {target: proven_class_count(target) for target in targets}
     dedup = {target: _Dedup(target) for target in TARGETS}
     k6_counts: list[int] = []
     # per target, per K_6 class: the target class of each of its drawings
     of_k6: dict[str, list[list[int]]] = {target: [] for target in TARGETS}
-    # per target still sampling: where it stops unless a new class comes
-    stop_at = dict.fromkeys(targets, cfg.stabilization_window)
+    # per target still sampling: where it gives up unless a new class comes
+    stall_at = dict.fromkeys(targets, cfg.stabilization_window)
     atlases: dict[str, Atlas] = {}
+    closed_at: dict[str, int] = {}
 
     def close(target: str, complete: bool) -> None:
         counts = [0] * len(dedup[target].reps)
@@ -321,7 +393,8 @@ def enumerate_atlases(
             for idx in ids:
                 counts[idx] += k6_count
         atlases[target] = Atlas(target, dedup[target].finalize(counts), complete)
-        del stop_at[target]
+        closed_at[target] = samples
+        del stall_at[target]
 
     # packed chirotope -> K_6 class: equal chirotopes have equal masks, so
     # the mask is built and deduped only on a miss, and only a miss opens
@@ -334,40 +407,42 @@ def enumerate_atlases(
         samples += 1
         k6_class = by_code.get(code)
         if k6_class is None:
+            mask = crossing_mask(chirotope_signs(code), 6)
             k6_class, opened = dedup["k6"].observe(
-                crossing_mask(chirotope_signs(code), 6),
-                lambda: make_realization(_K6_GRAPH, pts),
+                mask, lambda: make_realization(_K6_GRAPH, pts)
             )
             by_code[code] = k6_class
             if opened:
                 k6_counts.append(0)
                 of_k6["k6"].append([k6_class])
                 new_in = ["k6"]
-                if "k33" in stop_at:
-                    drawings = [_materialize_k33(pts, *p) for p in bipartitions_of_6()]
+                if "k33" in stall_at:
                     seen = [
-                        dedup["k33"].observe(crossing_mask_of(d), lambda d=d: d)
-                        for d in drawings
+                        dedup["k33"].observe(m, lambda p=p: _materialize_k33(pts, *p))
+                        for m, p in zip(k33_masks(mask), bipartitions_of_6())
                     ]
                     of_k6["k33"].append([idx for idx, _ in seen])
                     if any(new for _, new in seen):
                         new_in.append("k33")
-                for target in stop_at.keys() & new_in:
-                    stop_at[target] = samples + cfg.stabilization_window
+                for target in stall_at.keys() & new_in:
+                    stall_at[target] = samples + cfg.stabilization_window
         k6_counts[k6_class] += 1
-        if samples in stop_at.values():
-            for target in [t for t, at in stop_at.items() if at == samples]:
+        for target, at in list(stall_at.items()):
+            if len(dedup[target].reps) == wanted[target]:
                 close(target, True)
-        if not stop_at or samples >= cfg.max_samples:
+            elif at == samples:
+                close(target, False)
+        if not stall_at or samples >= cfg.max_samples:
             break
-    for target in list(stop_at):
+    for target in list(stall_at):
         close(target, False)
     for target in targets:
-        if not atlases[target].complete:
+        atlas = atlases[target]
+        if not atlas.complete:
             raise BudgetExhausted(
-                atlases[target],
-                f"stopped after {samples} samples with"
-                f" {len(atlases[target].classes)} classes and no stabilization",
+                atlas,
+                f"stopped after {closed_at[target]} samples with"
+                f" {len(atlas.classes)} of {wanted[target]} classes",
             )
     return {target: atlases[target] for target in targets}
 

@@ -3,7 +3,8 @@
 All randomness flows from the --seed flags, so identical invocations
 produce byte-identical output files.  Exit codes: 0 success, 1 failure
 (or an unreadable, invalid or unwritable file), 2 incomplete enumeration
-or usage error (including an out-of-range flag value).
+(some proven class never sampled) or usage error (including an
+out-of-range flag value).  Run as ``geohom`` or ``python -m geohom``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _add_enumeration_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--window", type=int, default=50_000,
-        help="samples without a new class before stopping",
+        help="samples without a new class before giving up as incomplete",
     )
     parser.add_argument(
         "--max-samples", type=int, default=500_000,
@@ -262,3 +263,7 @@ def main(argv=None) -> int:
     if argv is None:
         sys.exit(code)
     return code
+
+
+if __name__ == "__main__":
+    main()

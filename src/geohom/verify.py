@@ -34,8 +34,12 @@ from .atlas import (
     EnumerationConfig,
     assign_paper_labels,
     crossing_histogram,
+    crossing_mask_of,
     enumerate_atlases,
     load_atlas,
+    mask_orbit,
+    proven_class_count,
+    proven_classes,
     random_point_sets,
 )
 from .exact_geometry import (
@@ -278,15 +282,40 @@ def build_artifacts(
 # the checks, one per acceptance criterion
 # ---------------------------------------------------------------------------
 
+def _missed_classes(atlas: Atlas) -> int:
+    """Proven classes of the atlas's target with a mask in no orbit of the
+    atlas's classes."""
+    reached = set().union(
+        *(mask_orbit(atlas.target, crossing_mask_of(c.representative)) for c in atlas.classes)
+    )
+    proven = proven_classes(atlas.target)
+    return len({cls for mask, cls in proven.items() if mask not in reached})
+
+
 def check_atlas_counts(art: VerificationArtifacts) -> CheckResult:
+    """The sampled class counts, and every proven class (every drawing of
+    every chirotope of six points) inside a sampled class of each seed."""
     atlases = (art.atlas33_a, art.atlas33_b, art.atlas6_a, art.atlas6_b)
     counts = tuple(len(atlas.classes) for atlas in atlases)
     expected = (ref.K33_CLASS_COUNT,) * 2 + (ref.K6_CLASS_COUNT,) * 2
-    ok = counts == expected
+    proven = {target: proven_class_count(target) for target in ("k33", "k6")}
+    missed = [_missed_classes(atlas) for atlas in atlases]
+    ok = counts == expected and not any(missed)
     detail = (
         f"k33 seeds -> {counts[0]}/{counts[1]} classes,"
         f" k6 seeds -> {counts[2]}/{counts[3]}"
     )
+    if any(missed):
+        detail += (
+            f"; proven classes missed: k33 {missed[0]}/{missed[1]}"
+            f" of {proven['k33']}, k6 {missed[2]}/{missed[3]} of {proven['k6']}"
+        )
+    else:
+        detail += (
+            f"; each seed covers the {proven['k33']} k33 and {proven['k6']} k6"
+            f" classes proven from all {len(proven_classes('k6'))} K_6 masks of the"
+            " chirotopes of six points"
+        )
     if art.supplied_atlas_error:
         ok = False
         detail += f"; {art.supplied_atlas_error}"
@@ -313,7 +342,9 @@ def check_parity_property(
     """Every K_{3,3} drawing has an odd crossing count.  Each point set is
     drawn once, as a K_6 crossing mask: a bipartition's drawing crosses in
     exactly the K_6 pairs whose two edges both join the parts.  The point
-    sets come from the atlas's seeded generator; every mask is computed."""
+    sets come from the atlas's seeded generator; every mask is computed.
+    Then the same test runs on every mask of the proven K_6 classes, that
+    is on every drawing of K_{3,3} there is."""
     _require_positive(sample_count, "parity sample count")
     checked = 0
     for pts in random_point_sets(seed, 1000):
@@ -333,10 +364,22 @@ def check_parity_property(
         checked += 1
         if checked == sample_count:
             break
+    masks = proven_classes("k6")
+    for mask in masks:
+        for parts, joining in zip(bipartitions_of_6(), JOINING_MASKS):
+            c = (mask & joining).bit_count()
+            if c % 2 == 0:
+                return CheckResult(
+                    "parity-property",
+                    False,
+                    f"even crossing count {c} in the proven K_6 mask {mask:#x}"
+                    f" parts {sorted(map(sorted, parts))}",
+                )
     return CheckResult(
         "parity-property",
         True,
-        f"{sample_count} point sets x 10 bipartitions, all odd",
+        f"{sample_count} point sets x 10 bipartitions, and all {len(masks)}"
+        " proven K_6 masks x 10 bipartitions, all odd",
     )
 
 

@@ -26,6 +26,8 @@ from geohom.atlas import (
     enumerate_classes,
     load_atlas,
     mask_orbit,
+    proven_class_count,
+    proven_classes,
     save_atlas,
     symmetry_table,
 )
@@ -33,6 +35,7 @@ from geohom.exact_geometry import (
     Point,
     chirotope_code,
     chirotope_signs,
+    chirotopes_of_six,
     crossing_mask,
     in_general_position,
 )
@@ -183,19 +186,39 @@ def test_one_pass_matches_single_target_passes():
     cfg = EnumerationConfig(seed=0, stabilization_window=500)
     both = enumerate_atlases(cfg)
     assert list(both) == ["k33", "k6"]
-    assert (_samples(both["k33"]), _samples(both["k6"])) == (828, 1263)
+    assert (_samples(both["k33"]), _samples(both["k6"])) == (328, 763)
     for target, atlas in both.items():
         assert atlas_to_json(atlas) == atlas_to_json(enumerate_classes(target, cfg))
 
 
 # sha256 of atlas_to_json at fixed configs: a faster sampler must draw the
-# same points and keep every atlas byte
+# same points and keep every atlas byte.  The full digests count the samples
+# up to the stop at coverage; the digests without discovery_count were
+# recorded when the stop still came a whole window after the last new
+# class, so stopping earlier kept every representative.
 ATLAS_DIGESTS = {
-    ("k33", "random"): "b6491a1c17512445e6cad5ba09024bc3a1352e4caed65559065d1d238445e766",
-    ("k6", "random"): "aa122f33dcf28bd52caaf53a0b82eb91bf088a2212700ed2faa53123a9a78075",
-    ("k33", "grid"): "c239752eaeea396793b298fe4bfc6a48961065bc5b6e3913f09824617589d90a",
-    ("k6", "grid"): "da5e379c0429a6f5b9cfd8087f26e6d5b45719d47e92136bb811080d26f7dfeb",
+    ("k33", "random"): "117bc874f9916e908bceecca4542d29492f60f2bb0bd6fb26127bda4a65fa122",
+    ("k6", "random"): "191211258369ebfc290d6ac5242a6bdcb5ed8c77c5c927dd4cd394ab2e192e29",
+    ("k33", "grid"): "ee3e5bc0ca5a8b01ef22d2017e13f7ea48aeca2badcb1bf25ed9fe1a5ec9a226",
+    ("k6", "grid"): "9509c7710eb717c62efb8a0aec7b2322d688661dc60defaa2f81ed0fd94eecc3",
 }
+COUNTLESS_DIGESTS = {
+    ("k33", "random"): "dfdbc4cd3212886bcb648459cf92ef0759cf52849a1714f842e51ad4a616b791",
+    ("k6", "random"): "1e0c35ac4ef1b8e68781393b03bcf0e7f49e0e6e1a2d031ab8a97eb9ff020962",
+    ("k33", "grid"): "f248c1ab259c2642fef0d40542313d444a515985289c3c1049110c2fc8301dac",
+    ("k6", "grid"): "16906c2943b63416470d3a227950ad7a1e52e89c2f129d8e89133e26bda7691a",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _countless_sha256(text):
+    records = json.loads(text)
+    for record in records:
+        del record["discovery_count"]
+    return _sha256(json.dumps(records, separators=(",", ":")))
 
 
 @pytest.mark.parametrize("target, mode", list(ATLAS_DIGESTS))
@@ -205,7 +228,22 @@ def test_atlas_bytes_pinned(target, mode):
     else:
         cfg = EnumerationConfig(mode="grid", coordinate_bound=5)
     text = atlas_to_json(enumerate_classes(target, cfg))
-    assert hashlib.sha256(text.encode()).hexdigest() == ATLAS_DIGESTS[target, mode]
+    assert _sha256(text) == ATLAS_DIGESTS[target, mode]
+    assert _countless_sha256(text) == COUNTLESS_DIGESTS[target, mode]
+
+
+def test_default_representatives_pinned(atlases_a, atlases_b):
+    # the session atlases (seeds 7 and 101, default config): every byte but
+    # discovery_count as when a target stopped a whole window late
+    digests = {
+        (7, "k33"): "f1fcb9f29c220e0ffc1b5857955bb51b1dd558b73cf661e2b57ecfac00c4371a",
+        (7, "k6"): "c8dcc87fe6f52031ef3855509d03b343105150cf535300a406b6f80fefc7b35d",
+        (101, "k33"): "cda80026cffd4687edf92784b03a5d6bdf802b01e541b13515ae0e6931b07505",
+        (101, "k6"): "e93a08b9492bd84d4e85699804bd23dffb2c5e20a7402fd44ce8c5fd54246c67",
+    }
+    for seed, atlases in ((7, atlases_a), (101, atlases_b)):
+        for target, atlas in atlases.items():
+            assert _countless_sha256(atlas_to_json(atlas)) == digests[seed, target]
 
 
 def test_crossing_mask_built_once_per_chirotope(monkeypatch):
@@ -220,27 +258,28 @@ def test_crossing_mask_built_once_per_chirotope(monkeypatch):
         masks.append(tuple(signs))
         return crossing_mask(signs, n)
 
+    # the proof's own crossing masks are built before counting starts
+    proven_classes("k33")
     monkeypatch.setattr("geohom.atlas._point_sets", recording)
     monkeypatch.setattr("geohom.atlas.crossing_mask", counted)
     both = enumerate_atlases(EnumerationConfig(seed=0, stabilization_window=500))
     codes = [chirotope_code(pts) for pts in drawn]
     distinct = {code for code in codes if code is not None}
-    assert _samples(both["k6"]) == len(codes) - codes.count(None) == 1263
-    assert len(masks) == len(set(masks)) == len(distinct) < 1263
+    assert _samples(both["k6"]) == len(codes) - codes.count(None) == 763
+    assert len(masks) == len(set(masks)) == len(distinct) < 763
     assert set(masks) == {tuple(chirotope_signs(code)) for code in distinct}
 
 
 def test_one_pass_budget_cuts_only_the_later_target():
-    cfg = EnumerationConfig(seed=0, stabilization_window=500, max_samples=1000)
+    # k33 is covered at sample 328, the last K_6 class comes at 763
+    cfg = EnumerationConfig(seed=0, stabilization_window=500, max_samples=700)
     assert enumerate_classes("k33", cfg).complete
     with pytest.raises(BudgetExhausted) as single:
         enumerate_classes("k6", cfg)
     with pytest.raises(BudgetExhausted) as both:
         enumerate_atlases(cfg)
     assert str(both.value) == str(single.value)
-    assert str(single.value) == (
-        "stopped after 1000 samples with 15 classes and no stabilization"
-    )
+    assert str(single.value) == "stopped after 700 samples with 14 of 15 classes"
     assert atlas_to_json(both.value.atlas) == atlas_to_json(single.value.atlas)
 
 
@@ -382,6 +421,51 @@ def test_grid_mode_deterministic():
     assert atlas_to_json(first.value.atlas) == atlas_to_json(second.value.atlas)
 
 
+def test_grid_bound_4_covers_k33():
+    atlas = enumerate_classes("k33", EnumerationConfig(mode="grid", coordinate_bound=4))
+    assert atlas.complete
+    assert len(atlas.classes) == 19
+
+
+def test_stalled_enumeration_is_incomplete():
+    # at bound 2 two K_6 classes never appear; waiting out the window does
+    # not make the 13 found ones complete
+    with pytest.raises(BudgetExhausted) as info:
+        enumerate_classes("k6", EnumerationConfig(coordinate_bound=2, seed=1))
+    assert not info.value.atlas.complete
+    assert len(info.value.atlas.classes) == 13
+    assert str(info.value).endswith(" samples with 13 of 15 classes")
+
+
+def test_exhaustive_chirotopes_and_classes():
+    codes = chirotopes_of_six()
+    full = (1 << 20) - 1
+    assert len(codes) == len(set(codes)) == 11_904
+    assert {full ^ code for code in codes} == set(codes)
+    masks = {crossing_mask(chirotope_signs(code), 6) for code in codes}
+    assert len(masks) == 4_524
+    assert set(proven_classes("k6")) == masks
+    assert (proven_class_count("k6"), proven_class_count("k33")) == (15, 19)
+    for target in ("k6", "k33"):
+        by_class = {}
+        for mask, cls in proven_classes(target).items():
+            by_class.setdefault(cls, set()).add(mask)
+        assert sorted(by_class) == list(range(len(by_class)))
+        assert all(mask_orbit(target, min(orbit)) == orbit for orbit in by_class.values())
+
+
+def test_sampled_class_outside_the_proof_is_an_error(monkeypatch):
+    # with one K_6 class missing from the proof, sampling meets a drawing
+    # the proof says cannot exist
+    proven = {mask: cls for mask, cls in proven_classes("k6").items() if cls != 3}
+    monkeypatch.setattr(
+        "geohom.atlas.proven_classes",
+        lambda target: proven if target == "k6" else proven_classes(target),
+    )
+    with pytest.raises(AssertionError, match="a sampled k6 drawing lies in no proven class"):
+        enumerate_classes("k6", quick_cfg())
+
+
 def test_random_mode_budget_exhaustion():
     with pytest.raises(BudgetExhausted) as info:
         enumerate_classes(
@@ -433,8 +517,9 @@ def test_import_builds_no_symmetry_table():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import geohom, geohom.cli\n"
-        "from geohom.atlas import symmetry_table\n"
-        "print(symmetry_table.cache_info().currsize)"
+        "from geohom.atlas import proven_classes, symmetry_table\n"
+        "caches = (symmetry_table, proven_classes)\n"
+        "print(sum(f.cache_info().currsize for f in caches))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

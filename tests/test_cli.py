@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geohom
 from geohom.atlas import load_atlas
 from geohom.cli import main
 from geohom.graph_core import ParseError
@@ -48,6 +53,51 @@ def test_enumerate_grid_too_small_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "incomplete" in captured.out
     assert json.loads(out.read_text())  # partial atlas still written
+
+
+def test_enumerate_stalled_exits_2(tmp_path, capsys):
+    # at bound 2 two K_6 classes never appear: the run gives up, it does not
+    # label 13 classes as complete
+    out = tmp_path / "k6.json"
+    rc = run(["enumerate", "--graph", "k6", "--bound", "2", "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "13 classes (incomplete)" in captured.out
+    assert "with 13 of 15 classes" in captured.err
+    assert all(record["label"] is None for record in json.loads(out.read_text()))
+
+
+def test_enumerate_grid_bound_4_completes(tmp_path, capsys):
+    out = tmp_path / "grid.json"
+    rc = run(["enumerate", "--mode", "grid", "--bound", "4", "--out", str(out)])
+    assert rc == 0
+    assert "19 classes; histogram 1:1 3:7 5:8 7:2 9:1" in capsys.readouterr().out
+
+
+def _python_m(module, *args):
+    src = str(Path(geohom.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *args], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("module", ["geohom", "geohom.cli"])
+def test_python_m_reports_usage_error(module):
+    done = _python_m(module, "verify", "--parity-sets", "0")
+    assert done.returncode == 2
+    assert "must be positive" in done.stderr
+
+
+def test_python_m_verify_prints_ten_passes():
+    done = _python_m(
+        "geohom", "verify", "--window", "3000", "--parity-sets", "100", "--quadruples", "50"
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS ") for line in lines)
 
 
 def test_unknown_flag_rejected():

@@ -22,6 +22,7 @@ from geohom.atlas import (
     Atlas,
     RealizationClass,
     crossing_mask_of,
+    k33_masks,
     mask_orbit,
     random_point_sets,
 )
@@ -30,6 +31,7 @@ from geohom.exact_geometry import (
     Point,
     chirotope_code,
     chirotope_signs,
+    chirotopes_of_six,
     crossing_mask,
     in_general_position,
     orientation_signs,
@@ -136,6 +138,28 @@ def test_chirotope_code_packs_orientation_signs(pts):
         assert chirotope_signs(code) == signs
 
 
+@st.composite
+def bounded_points(draw):
+    """Six points with coordinates within a small bound (2 to 5), or within
+    +-COORDINATE_LIMIT and often at those extremes."""
+    bound = draw(st.sampled_from([2, 3, 4, 5, COORDINATE_LIMIT]))
+    value = st.integers(-bound, bound)
+    if bound == COORDINATE_LIMIT:
+        value = st.one_of(value, st.sampled_from([-bound, bound]))
+    return draw(st.lists(st.tuples(value, value), min_size=6, max_size=6))
+
+
+PROVEN_CODES = frozenset(chirotopes_of_six())
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_points())
+def test_every_chirotope_is_proven(pts):
+    code = chirotope_code(pts)
+    assume(code is not None)
+    assert code in PROVEN_CODES
+
+
 @pytest.mark.parametrize("bound", [2, 1000, 1 << 20])
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**64))
@@ -174,6 +198,10 @@ def test_atlas_masks_match_crossing_structure(pts):
         k33 = _materialize_k33(pts, first, second)
         assert crossing_structure(k33).pairs == expected
         assert crossing_mask_of(k33) == sum(1 << _MASK_BIT["k33"][p] for p in expected)
+    # k33_masks reads the same ten masks off the K_6 mask
+    assert k33_masks(crossing_mask_of(k6)) == [
+        crossing_mask_of(_materialize_k33(pts, *parts)) for parts in bipartitions_of_6()
+    ]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from geohom import atlas
 from geohom.poset import build_poset, poset_to_json
 from geohom.verify import (
+    VerificationArtifacts,
+    check_atlas_counts,
     check_oracle_equivalence,
     check_parity_property,
     check_poset_structure,
@@ -122,3 +125,31 @@ def test_empty_checks_rejected():
         check_parity_property(0)
     with pytest.raises(ValueError):
         check_oracle_equivalence(None, quadruples=0)
+
+
+def test_atlas_counts_needs_every_proven_class(atlases_a, atlases_b):
+    def artifacts(k6_classes):
+        return VerificationArtifacts(
+            atlases_a["k33"], atlases_b["k33"],
+            replace(atlases_a["k6"], classes=k6_classes), atlases_b["k6"],
+            pinned=None, poset=None, labeling={}, cover_mismatches=[],
+        )
+
+    classes = atlases_a["k6"].classes
+    assert check_atlas_counts(artifacts(classes)).passed
+    dropped = check_atlas_counts(artifacts(classes[1:]))
+    assert not dropped.passed
+    assert "k6 1/0 of 15" in dropped.detail
+    # fifteen classes, one of them twice: the count alone would pass
+    doubled = check_atlas_counts(artifacts(classes[1:] + classes[1:2]))
+    assert not doubled.passed
+    assert doubled.detail.startswith("k33 seeds -> 19/19 classes, k6 seeds -> 15/15;")
+
+
+def test_parity_property_covers_every_proven_mask(monkeypatch):
+    # an uncrossed "K_6 drawing" has even K_{3,3} crossing counts; the
+    # exhaustive part of the check must catch it
+    monkeypatch.setattr("geohom.verify.proven_classes", lambda target: {0: 0})
+    result = check_parity_property(1)
+    assert not result.passed
+    assert result.detail.startswith("even crossing count 0 in the proven K_6 mask 0x0")
