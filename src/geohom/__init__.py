@@ -44,8 +44,7 @@ from .morphisms import (
     PropReport,
     VertexMap,
     explain_non_precedence,
-    find_geo_homomorphisms,
-    geo_isomorphic,
+    injective_geo_homomorphisms,
     is_geo_homomorphism,
     prop_conditions,
 )

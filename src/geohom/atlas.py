@@ -2,10 +2,11 @@
 
 A drawing is handled as its crossing mask: one bit per vertex-disjoint
 edge pair of K_6 on 0..5 or of K_{3,3} on {0,1,2} | {3,4,5}.  One
-symmetry mechanism serves class identity and the order: per target, the
-bit permutations its automorphisms induce (built on first use).  Two
-drawings are isomorphic iff one mask lies in the other's orbit, and one
-precedes the other iff some mask of its orbit is a subset of the other's.
+symmetry mechanism serves class identity, the order and the homomorphism
+witnesses: per target, the automorphisms and the bit permutations they
+induce (built on first use).  Two drawings are isomorphic iff one mask
+lies in the other's orbit, and one precedes the other iff some mask of
+its orbit is a subset of the other's.
 
 Which classes exist is proven, not sampled: ``proven_classes`` takes the
 11,904 labeled chirotopes of six points (``chirotopes_of_six``), their
@@ -208,6 +209,22 @@ def _target_of(r: GeometricRealization) -> str:
     return "k33" if r.parts is not None else "k6"
 
 
+def _on_layout(r: GeometricRealization) -> bool:
+    target = _target_of(r)
+    return r.graph == _GRAPHS[target] and r.parts in (None, _K33_PARTS)
+
+
+def shared_layout(src: GeometricRealization, dst: GeometricRealization) -> str:
+    """The target whose fixed vertex layout both drawings are on; ValueError
+    if they are not on one."""
+    target = _target_of(src)
+    if not (_on_layout(src) and _on_layout(dst) and _target_of(dst) == target):
+        raise ValueError(
+            f"drawings are not both on {_LAYOUTS['k33']} or both on {_LAYOUTS['k6']}"
+        )
+    return target
+
+
 def _mask_of_pairs(target: str, pairs) -> int:
     bit = _MASK_BIT[target]
     return sum(1 << bit[pair] for pair in pairs)
@@ -217,6 +234,13 @@ def crossing_mask_of(r: GeometricRealization) -> int:
     """The crossing mask of a drawing of K_{3,3} on {0,1,2} | {3,4,5} or of
     K_6 on 0..5 (the vertex layouts every atlas holds)."""
     return _mask_of_pairs(_target_of(r), r.crossings)
+
+
+@cache
+def automorphisms(target: str) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of the target graph as vertex images (vertex v
+    goes to p[v]), sorted; row k of symmetry_table is the k-th."""
+    return tuple(sorted(map(tuple, all_graph_automorphisms(_GRAPHS[target]))))
 
 
 @cache
@@ -230,7 +254,7 @@ def symmetry_table(target: str) -> tuple[bytes, ...]:
 
     return tuple(
         bytes(bit[ordered_pair(image(p, e), image(p, f))] for e, f in _MASK_PAIRS[target])
-        for p in all_graph_automorphisms(_GRAPHS[target])
+        for p in automorphisms(target)
     )
 
 
@@ -644,7 +668,8 @@ def save_atlas(atlas: Atlas, path) -> None:
 
 def atlas_from_json(text: str) -> Atlas:
     """Parse an atlas, recomputing each stored signature from its
-    representative; any mismatch is a ParseError."""
+    representative; any mismatch, or two records of one class, is a
+    ParseError."""
     try:
         records = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -653,6 +678,7 @@ def atlas_from_json(text: str) -> Atlas:
         raise ParseError("atlas JSON must be an array of class records")
     classes = []
     labels_seen = set()
+    first_of_class: dict[int, int] = {}  # least mask of a class's orbit -> record
     target = None
     for pos, record in enumerate(records):
         where = f"record {pos}"
@@ -688,7 +714,7 @@ def atlas_from_json(text: str) -> Atlas:
         except (ParseError, ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         record_target = _target_of(rep)
-        if rep.graph != _GRAPHS[record_target] or rep.parts not in (None, _K33_PARTS):
+        if not _on_layout(rep):
             raise ParseError(f"{where}: representative is not {_LAYOUTS[record_target]}")
         if signature(rep) != sig:
             raise ParseError(
@@ -698,6 +724,12 @@ def atlas_from_json(text: str) -> Atlas:
             target = record_target
         elif target != record_target:
             raise ParseError(f"{where}: mixed targets in one atlas")
+        orbit_key = min(mask_orbit(target, crossing_mask_of(rep)))
+        if orbit_key in first_of_class:
+            raise ParseError(
+                f"{where}: same class as record {first_of_class[orbit_key]}"
+            )
+        first_of_class[orbit_key] = pos
         classes.append(
             RealizationClass(
                 representative=rep,

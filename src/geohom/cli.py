@@ -14,6 +14,7 @@ import json
 import sys
 
 from .atlas import (
+    K33_CLASS_COUNT,
     Atlas,
     BudgetExhausted,
     ConfigError,
@@ -78,6 +79,11 @@ def _pinned(args):
         atlas = load_atlas(args.atlas)
         if atlas.target != "k33":
             raise ParseError("label queries need a k33 atlas")
+        if len(atlas.classes) != K33_CLASS_COUNT:
+            raise ParseError(
+                f"label queries need the complete k33 atlas of {K33_CLASS_COUNT}"
+                f" classes, got {len(atlas.classes)}"
+            )
     else:
         atlas = enumerate_classes("k33", _config_from(args))
     return pin_reference_labels(atlas)

@@ -1,24 +1,27 @@
 """Maps between straight-line drawings.
 
-Two distinct predicates, deliberately kept apart:
-
-* isomorphism: a graph isomorphism under which crossing pairs map onto
-  crossing pairs bijectively (so non-crossings are preserved too);
-* homomorphism: a vertex map preserving adjacencies and crossings only
-  (extra adjacencies and extra crossings in the target are fine).
+A geometric homomorphism is a vertex map preserving adjacencies and
+crossings (extra adjacencies and extra crossings in the target are
+fine).  Between two drawings on one fixed vertex layout (K_{3,3} on
+{0,1,2} | {3,4,5}, or K_6 on 0..5) a vertex-injective one is a bijection
+carrying edges onto edges, that is a graph automorphism, and it
+preserves crossings iff it carries the source's crossing mask into the
+target's.  So the witnesses are read off the atlas symmetry table; the
+definition-level brute force over every injective map is kept as the
+independent oracle.
 
 The three necessary conditions for a vertex-injective homomorphism
 (uncrossed pullback, injective embedding of crossing graphs, and a
-line-graph automorphism carrying crossings to crossings) double as
-pruning rules and as machine-checkable certificates for non-precedence.
+line-graph automorphism carrying crossings to crossings) serve as
+machine-checkable certificates for non-precedence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
+from .atlas import automorphisms, crossing_mask_of, shared_layout, symmetry_table
 from .graph_core import (
     AbstractGraph,
     all_graph_automorphisms,
@@ -29,7 +32,6 @@ from .graph_core import (
 from .invariants import (
     edge_crossing_graph,
     edge_index_map,
-    per_edge_crossing_counts,
     uncrossed_subgraph,
 )
 from .realization import (
@@ -101,89 +103,19 @@ def is_geo_homomorphism(
     return True
 
 
-def _pairs_by_last_vertex(realization: GeometricRealization):
-    """Crossing pairs indexed by participating vertex, for incremental checks."""
-    by_vertex: list[list[tuple[frozenset, Edge, Edge]]] = [
-        [] for _ in range(realization.graph.n)
-    ]
-    for e, f in crossing_structure(realization):
-        vs = frozenset(e) | frozenset(f)
-        for v in vs:
-            by_vertex[v].append((vs, e, f))
-    return by_vertex
-
-
-def find_geo_homomorphisms(
-    src: GeometricRealization,
-    dst: GeometricRealization,
-    injective: bool,
+def injective_geo_homomorphisms(
+    src: GeometricRealization, dst: GeometricRealization
 ) -> list[VertexMap]:
-    """All vertex maps preserving adjacencies and crossings.
-
-    Backtracking over adjacency-compatible assignments; a crossing pair
-    is checked as soon as its last vertex is placed.
-    """
-    n_src, n_dst = src.graph.n, dst.graph.n
-    if injective and n_src > n_dst:
-        return []
-    adj_src = src.graph.adjacency()
-    dst_edges = dst.graph.edges
-    dst_crossings = crossing_structure(dst).pairs
-    cross_by_vertex = _pairs_by_last_vertex(src)
-    deg_src = src.graph.degrees()
-    order = sorted(range(n_src), key=lambda v: (-deg_src[v], v))
-    position = {v: i for i, v in enumerate(order)}
-
-    images = [-1] * n_src
-    used = [False] * n_dst
-    results: list[tuple[int, ...]] = []
-
-    def image_edge(e: Edge) -> Edge | None:
-        a, b = images[e[0]], images[e[1]]
-        if a == b:
-            return None
-        return (a, b) if a < b else (b, a)
-
-    def crossing_ok(v: int) -> bool:
-        for vs, e, f in cross_by_vertex[v]:
-            if any(images[u] < 0 for u in vs):
-                continue
-            ie, ig = image_edge(e), image_edge(f)
-            if ie is None or ig is None or ie == ig:
-                return False
-            if ordered_pair(ie, ig) not in dst_crossings:
-                return False
-        return True
-
-    def extend(i: int):
-        if i == n_src:
-            results.append(tuple(images))
-            return
-        v = order[i]
-        placed_neighbors = [
-            u for u in adj_src[v] if position[u] < i
-        ]
-        for w in range(n_dst):
-            if injective and used[w]:
-                continue
-            ok = True
-            for u in placed_neighbors:
-                iu = images[u]
-                if iu == w or (min(iu, w), max(iu, w)) not in dst_edges:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            images[v] = w
-            if crossing_ok(v):
-                used[w] = True
-                extend(i + 1)
-                used[w] = False
-            images[v] = -1
-
-    extend(0)
+    """Every vertex-injective geometric homomorphism src -> dst, sorted by
+    images: the automorphisms whose mask-bit row carries src's crossing
+    mask into dst's.  Both drawings must be on one fixed layout."""
+    target = shared_layout(src, dst)
+    x_src, missing = crossing_mask_of(src), ~crossing_mask_of(dst)
+    bits = [d for d in range(x_src.bit_length()) if x_src >> d & 1]
     return [
-        VertexMap(n_src, n_dst, imgs) for imgs in sorted(results)
+        VertexMap(6, 6, p)
+        for p, row in zip(automorphisms(target), symmetry_table(target))
+        if not sum(1 << row[d] for d in bits) & missing
     ]
 
 
@@ -192,8 +124,8 @@ def brute_force_injective_geo_homomorphisms(
 ) -> list[VertexMap]:
     """Oracle path: test every injective vertex map against the definition.
 
-    No search-tree pruning; kept independent of find_geo_homomorphisms so
-    the two can be compared.
+    No use of the symmetry tables; kept independent of
+    injective_geo_homomorphisms so the two can be compared.
     """
     from itertools import permutations
 
@@ -223,95 +155,6 @@ def brute_force_injective_geo_homomorphisms(
         if ok:
             out.append(VertexMap(n_src, n_dst, perm))
     return sorted(out, key=lambda f: f.images)
-
-
-# ---------------------------------------------------------------------------
-# crossing-preserving isomorphism
-# ---------------------------------------------------------------------------
-
-def _vertex_crossing_profiles(r: GeometricRealization) -> list[tuple[int, ...]]:
-    counts = per_edge_crossing_counts(r)
-    return [
-        tuple(sorted(c for e, c in counts.items() if v in e))
-        for v in range(r.graph.n)
-    ]
-
-
-def geo_isomorphic(
-    r: GeometricRealization, s: GeometricRealization
-) -> VertexMap | None:
-    """A graph isomorphism carrying crossing pairs bijectively, or None."""
-    if r.graph.n != s.graph.n or r.graph.m != s.graph.m:
-        return None
-    x_r = crossing_structure(r).pairs
-    x_s = crossing_structure(s).pairs
-    if len(x_r) != len(x_s):
-        return None
-    prof_r = _vertex_crossing_profiles(r)
-    prof_s = _vertex_crossing_profiles(s)
-    if sorted(prof_r) != sorted(prof_s):
-        return None
-
-    n = r.graph.n
-    adj_r = r.graph.adjacency()
-    s_edges = s.graph.edges
-    # disjoint edge pairs of r indexed by vertex, with their crossing flag
-    pair_checks: list[list[tuple[frozenset, Edge, Edge, bool]]] = [
-        [] for _ in range(n)
-    ]
-    for e, f in combinations(sorted(r.graph.edges), 2):
-        if e[0] in f or e[1] in f:
-            continue
-        vs = frozenset(e) | frozenset(f)
-        flag = ordered_pair(e, f) in x_r
-        for v in vs:
-            pair_checks[v].append((vs, e, f, flag))
-
-    order = sorted(range(n), key=lambda v: (prof_r[v], v))
-    images = [-1] * n
-    used = [False] * n
-
-    def image_edge(e: Edge) -> Edge:
-        a, b = images[e[0]], images[e[1]]
-        return (a, b) if a < b else (b, a)
-
-    def pairs_ok(v: int) -> bool:
-        for vs, e, f, flag in pair_checks[v]:
-            if any(images[u] < 0 for u in vs):
-                continue
-            crossed = ordered_pair(image_edge(e), image_edge(f)) in x_s
-            if crossed != flag:
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if used[w] or prof_s[w] != prof_r[v]:
-                continue
-            ok = True
-            for u in range(n):
-                iu = images[u]
-                if iu < 0 or u == v:
-                    continue
-                if (u in adj_r[v]) != ((min(iu, w), max(iu, w)) in s_edges):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            images[v] = w
-            used[w] = True
-            if pairs_ok(v) and extend(i + 1):
-                return True
-            used[w] = False
-            images[v] = -1
-        return False
-
-    if extend(0):
-        return VertexMap(n, n, tuple(images))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +327,6 @@ class NonPrecedenceCertificate:
         }
 
 
-def _count_injective_abstract_homs(
-    src: GeometricRealization, dst: GeometricRealization
-) -> int:
-    from itertools import permutations
-
-    count = 0
-    dst_edges = dst.graph.edges
-    for perm in permutations(range(dst.graph.n), src.graph.n):
-        if all(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) in dst_edges
-            for u, v in src.graph.edges
-        ):
-            count += 1
-    return count
-
-
 def explain_non_precedence(
     src: GeometricRealization,
     dst: GeometricRealization,
@@ -509,10 +336,10 @@ def explain_non_precedence(
     """Certificate for the absence of injective homomorphisms src -> dst.
 
     Cites every failed necessary condition; when all three hold, falls
-    back to an exhaustive-search certificate counting the refuted
-    candidate maps.
+    back to an exhaustive certificate counting the refuted candidate
+    maps: every automorphism of the layout's graph (72 for K_{3,3}).
     """
-    if find_geo_homomorphisms(src, dst, injective=True):
+    if injective_geo_homomorphisms(src, dst):
         raise NotApplicable(
             f"{src_name} precedes {dst_name}; nothing to explain"
         )
@@ -520,7 +347,7 @@ def explain_non_precedence(
     failed = tuple(report.failed())
     refuted = 0
     if not failed:
-        refuted = _count_injective_abstract_homs(src, dst)
+        refuted = len(automorphisms(shared_layout(src, dst)))
     return NonPrecedenceCertificate(src_name, dst_name, failed, refuted)
 
 
@@ -531,7 +358,7 @@ def hom_query(
     dst_name: str = "dst",
 ) -> dict:
     """Witness list when homomorphisms exist, else the certificate dict."""
-    witnesses = find_geo_homomorphisms(src, dst, injective=True)
+    witnesses = injective_geo_homomorphisms(src, dst)
     if witnesses:
         return {
             "src": src_name,

@@ -37,7 +37,7 @@ from geohom.invariants import edge_crossing_graph
 from geohom.morphisms import (
     brute_force_injective_geo_homomorphisms,
     explain_non_precedence,
-    find_geo_homomorphisms,
+    injective_geo_homomorphisms,
     prop_conditions,
 )
 from geohom.poset import (
@@ -205,7 +205,8 @@ def test_criterion_6_non_precedence_facts(pinned_atlas):
     for src_label, dst_label, condition in ref.NON_PRECEDENCE_FACTS:
         src = pinned_atlas.find(src_label).representative
         dst = pinned_atlas.find(dst_label).representative
-        assert find_geo_homomorphisms(src, dst, injective=True) == []
+        assert brute_force_injective_geo_homomorphisms(src, dst) == []
+        assert injective_geo_homomorphisms(src, dst) == []
         report_obj = prop_conditions(src, dst)
         assert condition in report_obj.failed(), (
             f"{src_label} -> {dst_label}: expected {condition} to fail"
@@ -279,13 +280,13 @@ def test_criterion_10_oracle_equivalence(hom_poset):
         for j in range(hom_poset.n):
             src = hom_poset.classes[i].representative
             dst = hom_poset.classes[j].representative
-            pruned = [f.images for f in find_geo_homomorphisms(src, dst, True)]
+            table = [f.images for f in injective_geo_homomorphisms(src, dst)]
             brute = [
                 f.images
                 for f in brute_force_injective_geo_homomorphisms(src, dst)
             ]
-            assert pruned == brute, (
-                f"search mismatch on ({hom_poset.label(i)}, {hom_poset.label(j)})"
+            assert table == brute, (
+                f"witness table mismatch on ({hom_poset.label(i)}, {hom_poset.label(j)})"
             )
     rng = random.Random(4242)
     compared = 0
@@ -301,6 +302,6 @@ def test_criterion_10_oracle_equivalence(hom_poset):
         compared += 1
     report(
         "criterion-10 oracle equivalence",
-        "pruned search equals unpruned brute force on all 361 pairs; 1000"
+        "witness table equals brute force on all 361 pairs; 1000"
         " segment quadruples agree with the rational predicate",
     )

@@ -41,12 +41,13 @@ from geohom.exact_geometry import (
 )
 from geohom.graph_core import ParseError
 from geohom.invariants import signature, signature_to_dict
-from geohom.morphisms import geo_isomorphic
 from geohom.realization import (
     bipartitions_of_6,
     make_complete_bipartite_realization,
     realization_from_json,
 )
+
+from brute_force import geo_isomorphic
 
 QUICK = dict(stabilization_window=4000, max_samples=100_000)
 
@@ -384,6 +385,24 @@ def test_load_rejects_malformed_fields(quick_labeled, field, value, problem):
     with pytest.raises(ParseError) as info:
         atlas_from_json(json.dumps(records))
     assert str(info.value) == f"record 2: {field} {value!r} {problem}"
+
+
+def test_load_rejects_repeated_class(quick_labeled):
+    text = atlas_to_json(quick_labeled)
+    records = json.loads(text)
+    # the same drawing, and one relabeled by swapping vertices 0 and 1
+    same = dict(json.loads(text)[4], label=records[5]["label"])
+    moved = dict(json.loads(text)[4], label=records[5]["label"])
+    points = moved["representative"]["points"]
+    points[0], points[1] = points[1], points[0]
+    assert crossing_mask_of(realization_from_json(json.dumps(moved["representative"]))) != (
+        crossing_mask_of(quick_labeled.classes[4].representative)
+    )
+    for duplicate in (same, moved):
+        records[5] = duplicate
+        with pytest.raises(ParseError) as info:
+            atlas_from_json(json.dumps(records))
+        assert str(info.value) == "record 5: same class as record 4"
 
 
 def test_load_rejects_mixed_targets(quick_labeled, tmp_path):

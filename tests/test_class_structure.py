@@ -7,8 +7,7 @@ from geohom.invariants import (
     uncrossed_subgraph,
 )
 from geohom.morphisms import (
-    find_geo_homomorphisms,
-    geo_isomorphic,
+    injective_geo_homomorphisms,
     is_geo_homomorphism,
     map_induces_ex_hom,
     map_induces_lex_hom,
@@ -17,6 +16,8 @@ from geohom.morphisms import (
     VertexMap,
 )
 from geohom.realization import complete_to_k6
+
+from brute_force import geo_isomorphic
 
 
 def test_lex_forms_distinguish_54_and_56(pinned_atlas):
@@ -63,7 +64,7 @@ def test_hasse_witnesses_induce_valid_edge_maps(hom_poset):
     for i, j in sorted(hom_poset.hasse_edges):
         src = hom_poset.classes[i].representative
         dst = hom_poset.classes[j].representative
-        witness = find_geo_homomorphisms(src, dst, injective=True)[0]
+        witness = injective_geo_homomorphisms(src, dst)[0]
         assert map_induces_ex_hom(src, dst, witness)
         assert map_induces_lex_hom(src, dst, witness)
         assert map_respects_uncrossed_pullback(src, dst, witness)
@@ -77,15 +78,13 @@ def test_hasse_chains_compose(hom_poset):
     composed = 0
     for i, j in edges:
         for k in outgoing.get(j, []):
-            f = find_geo_homomorphisms(
+            f = injective_geo_homomorphisms(
                 hom_poset.classes[i].representative,
                 hom_poset.classes[j].representative,
-                injective=True,
             )[0]
-            g = find_geo_homomorphisms(
+            g = injective_geo_homomorphisms(
                 hom_poset.classes[j].representative,
                 hom_poset.classes[k].representative,
-                injective=True,
             )[0]
             h = VertexMap(6, 6, tuple(g.images[f.images[v]] for v in range(6)))
             assert is_geo_homomorphism(

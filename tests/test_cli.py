@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import geohom
 from geohom.atlas import load_atlas
 from geohom.cli import main
 from geohom.graph_core import ParseError
+from geohom.morphisms import hom_query
 
 FAST = ["--window", "3000", "--max-samples", "100000"]
 
@@ -163,6 +165,50 @@ def test_malformed_record_is_an_error(field, value, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: record 0: {field} ")
 
 
+def test_repeated_class_is_an_error(tmp_path, capsys):
+    atlas = tmp_path / "atlas.json"
+    run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])
+    records = json.loads(atlas.read_text())
+    records[5] = dict(records[4], label=records[5]["label"])
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps(records))
+    for argv in (["hom", "3.1", "5.1"], ["poset"]):
+        capsys.readouterr()
+        assert run([*argv, "--atlas", str(dup)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: record 5: same class as record 4"]
+    rc = run(
+        [
+            "verify",
+            "--atlas", str(dup),
+            *FAST,
+            "--parity-sets", "100",
+            "--quadruples", "50",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL atlas-counts" in out and "record 5: same class as record 4" in out
+
+
+def test_label_query_on_incomplete_atlas_is_an_error(tmp_path, capsys):
+    partial = tmp_path / "partial.json"
+    assert run(["enumerate", "--seed", "7", "--max-samples", "300", "--out", str(partial)]) == 2
+    count = len(json.loads(partial.read_text()))
+    assert count < 19
+    full = tmp_path / "atlas.json"
+    run(["enumerate", "--seed", "7", *FAST, "--out", str(full)])
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(json.loads(full.read_text())[:18]))
+    for path, n in ((partial, count), (short, 18)):
+        for argv in (["hom", "3.1", "5.1"], ["poset"], ["export", "--what", "atlas"]):
+            capsys.readouterr()
+            assert run([*argv, "--atlas", str(path)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: label queries need the complete k33 atlas of 19 classes, got {n}"
+            ]
+
+
 def test_foreign_vertex_layout_rejected(tmp_path, capsys):
     atlas = tmp_path / "atlas.json"
     run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])
@@ -200,6 +246,19 @@ def test_hom_witnesses(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(range(6)) in payload["witnesses"]
+
+
+def test_hom_outputs_pinned(pinned_atlas):
+    # the hom JSON of every label pair of the seed-7 atlas, as the CLI
+    # prints it; guards witness order and the certificate fields
+    digest = hashlib.sha256()
+    for src in pinned_atlas.classes:
+        for dst in pinned_atlas.classes:
+            result = hom_query(src.representative, dst.representative, src.label, dst.label)
+            digest.update((json.dumps(result, indent=2) + "\n").encode())
+    assert digest.hexdigest() == (
+        "ad2fa32c94980ce4a373d5c6bdc388f37a07b5d5827bdc02708046fbbd6aa81f"
+    )
 
 
 def test_hom_unknown_label(tmp_path, capsys):

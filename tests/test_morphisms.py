@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -8,15 +9,14 @@ from geohom.graph_core import AbstractGraph, complete_bipartite_graph
 from geohom.morphisms import (
     AbstractMismatch,
     NotApplicable,
+    PropReport,
     VertexMap,
-    _count_injective_abstract_homs,
     brute_force_injective_geo_homomorphisms,
     explain_non_precedence,
-    find_geo_homomorphisms,
-    geo_isomorphic,
     hom_query,
     identity_map,
     induced_edge_map,
+    injective_geo_homomorphisms,
     is_geo_homomorphism,
     line_graph,
     line_graph_automorphisms,
@@ -25,11 +25,15 @@ from geohom.morphisms import (
     map_respects_uncrossed_pullback,
     prop_conditions,
 )
+from geohom.atlas import automorphisms
 from geohom.realization import (
+    complete_to_k6,
     crossing_structure,
     make_complete_bipartite_realization,
     make_realization,
 )
+
+from brute_force import geo_isomorphic
 
 # one representative drawing per crossing level 1, 3, 9
 CR1_POINTS = [(7, 1), (10, 6), (4, 8), (7, 0), (5, 9), (6, 4)]
@@ -90,44 +94,47 @@ def test_homomorphism_shape_mismatch(cr3):
 
 
 def test_find_contains_identity(cr3):
-    found = find_geo_homomorphisms(cr3, cr3, injective=True)
+    found = injective_geo_homomorphisms(cr3, cr3)
     assert tuple(range(6)) in [f.images for f in found]
     assert all(f.is_injective for f in found)
 
 
 def test_find_up_the_order(cr1, cr3, cr9):
-    assert find_geo_homomorphisms(cr1, cr3, injective=True)
-    assert find_geo_homomorphisms(cr3, cr9, injective=True)
-    assert find_geo_homomorphisms(cr1, cr9, injective=True)
-    assert not find_geo_homomorphisms(cr3, cr1, injective=True)
-    assert not find_geo_homomorphisms(cr9, cr3, injective=True)
+    assert injective_geo_homomorphisms(cr1, cr3)
+    assert injective_geo_homomorphisms(cr3, cr9)
+    assert injective_geo_homomorphisms(cr1, cr9)
+    assert not injective_geo_homomorphisms(cr3, cr1)
+    assert not injective_geo_homomorphisms(cr9, cr3)
 
 
 def test_find_matches_brute_force(cr1, cr3, cr9):
     for src in (cr1, cr3, cr9):
         for dst in (cr1, cr3, cr9):
-            pruned = [f.images for f in find_geo_homomorphisms(src, dst, True)]
+            table = [f.images for f in injective_geo_homomorphisms(src, dst)]
             brute = [
                 f.images
                 for f in brute_force_injective_geo_homomorphisms(src, dst)
             ]
-            assert pruned == brute
+            assert table == brute
+
+
+def test_witness_table_needs_one_layout(cr1, cr3):
+    other_parts = make_complete_bipartite_realization(CR3_POINTS, ({0, 1, 3}, {2, 4, 5}))
+    for src, dst in ((cr3, complete_to_k6(cr1)), (cr3, other_parts), (other_parts, cr3)):
+        with pytest.raises(ValueError, match="not both on"):
+            injective_geo_homomorphisms(src, dst)
+    k6 = complete_to_k6(cr3)
+    table = [f.images for f in injective_geo_homomorphisms(k6, k6)]
+    assert table == [f.images for f in brute_force_injective_geo_homomorphisms(k6, k6)]
 
 
 def test_composition_is_homomorphism(cr1, cr3, cr9):
-    first = find_geo_homomorphisms(cr1, cr3, injective=True)[0]
-    second = find_geo_homomorphisms(cr3, cr9, injective=True)[0]
+    first = injective_geo_homomorphisms(cr1, cr3)[0]
+    second = injective_geo_homomorphisms(cr3, cr9)[0]
     composite = VertexMap(
         6, 6, tuple(second.images[first.images[v]] for v in range(6))
     )
     assert is_geo_homomorphism(cr1, cr9, composite)
-
-
-def test_noninjective_search_runs(cr3):
-    maps = find_geo_homomorphisms(cr3, cr3, injective=False)
-    assert tuple(range(6)) in [f.images for f in maps]
-    for f in maps:
-        assert is_geo_homomorphism(cr3, cr3, f)
 
 
 def test_geo_isomorphic_relabeled_reflected(cr3):
@@ -150,6 +157,8 @@ def test_geo_isomorphic_relabeled_reflected(cr3):
 
 def test_geo_isomorphic_rejects_different_counts(cr1, cr3):
     assert geo_isomorphic(cr1, cr3) is None
+    # an injective homomorphism exists, so the count is what refutes
+    assert brute_force_injective_geo_homomorphisms(cr1, cr3)
 
 
 def test_geo_isomorphic_distinguishes_same_count():
@@ -220,6 +229,16 @@ def test_explain_non_precedence(cr3, cr1, cr9):
         explain_non_precedence(cr1, cr9)
 
 
+def test_exhaustive_certificate_counts_every_automorphism(cr1, cr3, monkeypatch):
+    # no pair of classes needs the exhaustive fallback, so force it
+    monkeypatch.setattr(
+        "geohom.morphisms.prop_conditions", lambda src, dst: PropReport(True, True, True)
+    )
+    certificate = explain_non_precedence(cr3, cr1)
+    assert certificate.failed_conditions == ()
+    assert certificate.refuted_candidates == 72
+
+
 def test_hom_query_shapes(cr1, cr3):
     found = hom_query(cr1, cr3, "a", "b")
     assert found["result"] == "hom"
@@ -230,11 +249,20 @@ def test_hom_query_shapes(cr1, cr3):
 
 
 def test_injective_abstract_hom_count(cr3):
-    assert _count_injective_abstract_homs(cr3, cr3) == 72
+    # the table's rows are exactly the injective maps carrying edges onto
+    # edges, which the certificate counts as its refuted candidates
+    edges = cr3.graph.edges
+    edge_preserving = [
+        p
+        for p in permutations(range(6))
+        if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)
+    ]
+    assert list(automorphisms("k33")) == edge_preserving
+    assert len(edge_preserving) == 72
 
 
 def test_induced_map_checks(cr1, cr3):
-    f = find_geo_homomorphisms(cr1, cr3, injective=True)[0]
+    f = injective_geo_homomorphisms(cr1, cr3)[0]
     sigma = induced_edge_map(cr1, cr3, f)
     assert sorted(sigma) == list(range(9))
     assert sorted(set(sigma.values())) == list(range(9))

@@ -2,7 +2,7 @@
 rational predicate, the packed six-point chirotope against the
 orientation table, the seeded point generator against randrange, the
 atlas masks against the realization's crossing structure, the symmetry
-tables against the isomorphism and homomorphism searches, canonical
+tables against brute-force isomorphism and homomorphism, canonical
 labels against the isomorphism search, and the pinned order against a
 fresh build."""
 
@@ -47,8 +47,7 @@ from geohom.graph_core import (
 from geohom.invariants import signature
 from geohom.morphisms import (
     VertexMap,
-    find_geo_homomorphisms,
-    geo_isomorphic,
+    brute_force_injective_geo_homomorphisms,
     is_geo_homomorphism,
 )
 from geohom.poset import build_poset
@@ -61,6 +60,8 @@ from geohom.realization import (
     rational_crossing_structure,
 )
 from geohom.verify import pin_reference_labels
+
+from brute_force import geo_isomorphic, part_respecting_maps
 
 # small coordinates make near-degenerate sets common; the full range
 # exercises products far beyond a machine word
@@ -75,6 +76,8 @@ AUTOMORPHISMS = {
     "k6": all_graph_automorphisms(K6),
     "k33": all_graph_automorphisms(complete_bipartite_graph(3, 3)),
 }
+# every graph homomorphism K_{3,3} -> K_{3,3}, injective or not
+PART_RESPECTING_MAPS = part_respecting_maps()
 
 
 def _general_position(pts) -> bool:
@@ -269,8 +272,8 @@ def test_table_order_matches_search(pts_a, pts_b):
     assume(crossing_mask_of(b) not in mask_orbit("k33", crossing_mask_of(a)))
     atlas = Atlas("k33", [RealizationClass(r, signature(r)) for r in (a, b)])
     leq = build_poset(atlas).leq
-    assert leq[0][1] == bool(find_geo_homomorphisms(a, b, injective=True))
-    assert leq[1][0] == bool(find_geo_homomorphisms(b, a, injective=True))
+    assert leq[0][1] == bool(brute_force_injective_geo_homomorphisms(a, b))
+    assert leq[1][0] == bool(brute_force_injective_geo_homomorphisms(b, a))
 
 
 @pytest.mark.parametrize("target", ["k33", "k6"])
@@ -298,8 +301,8 @@ def test_homomorphisms_compose(pts_a, pts_b, pts_c, data):
         (_draw("k33", pts) for pts in (pts_a, pts_b, pts_c)),
         key=lambda r: len(crossing_structure(r)),
     )
-    first = find_geo_homomorphisms(a, b, injective=False)
-    second = find_geo_homomorphisms(b, c, injective=False)
+    first = [f for f in PART_RESPECTING_MAPS if is_geo_homomorphism(a, b, f)]
+    second = [f for f in PART_RESPECTING_MAPS if is_geo_homomorphism(b, c, f)]
     assume(first and second)
     f = data.draw(st.sampled_from(first))
     g = data.draw(st.sampled_from(second))
