@@ -72,7 +72,7 @@ from .realization import (
     make_realization,
     ordered_pair,
     rational_crossing_structure,
-    realization_from_json,
+    realization_from_payload,
     realization_to_json,
 )
 
@@ -526,16 +526,12 @@ def _anchor_k33(classes: list[RealizationClass]) -> dict[int, str]:
             f"expected two 3-crossing classes with an uncrossed 6-path,"
             f" found {len(p6_level3)}"
         )
-    degree3 = [
-        i
+    max_degree = {
+        i: max(edge_crossing_graph(classes[i].representative).degrees())
         for i in p6_level3
-        if max(edge_crossing_graph(classes[i].representative).degrees()) == 3
-    ]
-    degree2 = [
-        i
-        for i in p6_level3
-        if max(edge_crossing_graph(classes[i].representative).degrees()) == 2
-    ]
+    }
+    degree3 = [i for i in p6_level3 if max_degree[i] == 3]
+    degree2 = [i for i in p6_level3 if max_degree[i] == 2]
     anchored[_pick_unique(degree3, "crossing graph with a degree-3 vertex")] = "3.5"
     anchored[_pick_unique(degree2, "crossing graph with maximum degree 2")] = "3.6"
 
@@ -709,7 +705,7 @@ def atlas_from_json(text: str) -> Atlas:
                 raise ParseError(f"{where}: duplicate label {label!r}")
             labels_seen.add(label)
         try:
-            rep = realization_from_json(json.dumps(record["representative"]))
+            rep = realization_from_payload(record["representative"])
             sig = signature_from_dict(record["signature"])
         except (ParseError, ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc

@@ -9,7 +9,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +16,7 @@ CANONICAL_LABEL_MAX_VERTICES = 16
 
 
 class ParseError(ValueError):
-    """Malformed textual graph or atlas data; message names the bad field."""
+    """Malformed atlas or realization data; message names the bad field."""
 
 
 @dataclass(frozen=True)
@@ -149,35 +148,6 @@ def disjoint_union(*graphs: AbstractGraph) -> AbstractGraph:
         edges.extend((u + n, v + n) for u, v in g.edges)
         n += g.n
     return AbstractGraph.from_edges(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# graph literal syntax: "n=9; edges=0-1,1-2" (whitespace-insensitive)
-# ---------------------------------------------------------------------------
-
-def graph_from_literal(text: str) -> AbstractGraph:
-    compact = re.sub(r"\s+", "", text)
-    match = re.fullmatch(r"n=(\d+);edges=([0-9,\-]*);?", compact)
-    if match is None:
-        raise ParseError(f"bad graph literal: {text!r}")
-    n = int(match.group(1))
-    edges = []
-    body = match.group(2)
-    if body:
-        for token in body.split(","):
-            pair = token.split("-")
-            if len(pair) != 2:
-                raise ParseError(f"bad edge token {token!r} in {text!r}")
-            edges.append((int(pair[0]), int(pair[1])))
-    try:
-        return AbstractGraph.from_edges(n, edges)
-    except ValueError as exc:
-        raise ParseError(f"invalid graph literal {text!r}: {exc}") from exc
-
-
-def graph_to_literal(g: AbstractGraph) -> str:
-    body = ",".join(f"{u}-{v}" for u, v in g.sorted_edges())
-    return f"n={g.n}; edges={body}"
 
 
 # ---------------------------------------------------------------------------

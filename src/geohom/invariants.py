@@ -11,7 +11,6 @@ to separate realization classes quickly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .graph_core import (
@@ -159,10 +158,6 @@ def signature_from_dict(payload: dict) -> InvariantSignature:
         lex_class=bytes.fromhex(payload["lex_class"]),
         thickness=payload["thickness"],
     )
-
-
-def signature_to_json(sig: InvariantSignature) -> str:
-    return json.dumps(signature_to_dict(sig), separators=(",", ":"))
 
 
 def _edge_name(e: Edge) -> str:

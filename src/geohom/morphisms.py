@@ -31,7 +31,6 @@ from .graph_core import (
 )
 from .invariants import (
     edge_crossing_graph,
-    edge_index_map,
     uncrossed_subgraph,
 )
 from .realization import (
@@ -77,10 +76,6 @@ class VertexMap:
         if a == b:
             return None
         return (a, b) if a < b else (b, a)
-
-
-def identity_map(n: int) -> VertexMap:
-    return VertexMap(n, n, tuple(range(n)))
 
 
 def is_geo_homomorphism(
@@ -231,76 +226,6 @@ def prop_conditions(
         for sigma in line_graph_automorphisms(dst.graph)
     )
     return PropReport(cond1, cond2, cond3)
-
-
-# per-map variants, used to validate found homomorphisms
-
-def induced_edge_map(
-    src: GeometricRealization, dst: GeometricRealization, f: VertexMap
-) -> dict[int, int]:
-    """Action of f on edge indices (source edge order to target edge order)."""
-    src_index = edge_index_map(src)
-    dst_index = edge_index_map(dst)
-    out = {}
-    for e, i in src_index.items():
-        image = f.map_edge(e)
-        if image is None or image not in dst_index:
-            raise ValueError(f"map does not carry edge {e} to an edge")
-        out[i] = dst_index[image]
-    return out
-
-
-def map_induces_ex_hom(
-    src: GeometricRealization, dst: GeometricRealization, f: VertexMap
-) -> bool:
-    """The edge action of f maps crossing pairs to crossing pairs."""
-    try:
-        sigma = induced_edge_map(src, dst, f)
-    except ValueError:
-        return False
-    ex_src = edge_crossing_graph(src)
-    ex_dst = edge_crossing_graph(dst)
-    return all(
-        (min(sigma[i], sigma[j]), max(sigma[i], sigma[j])) in ex_dst.edges
-        for i, j in ex_src.edges
-    )
-
-
-def map_induces_lex_hom(
-    src: GeometricRealization, dst: GeometricRealization, f: VertexMap
-) -> bool:
-    """The edge action of f is a line-graph automorphism preserving crossings."""
-    if src.graph != dst.graph:
-        return False
-    try:
-        sigma = induced_edge_map(src, dst, f)
-    except ValueError:
-        return False
-    if len(set(sigma.values())) != len(sigma):
-        return False
-    lg = line_graph(src.graph)
-    perm = [sigma[i] for i in range(lg.n)]
-    # a bijection on edges carrying line-graph edges into line-graph edges
-    # is an automorphism (edge counts match)
-    if not all(
-        (min(perm[i], perm[j]), max(perm[i], perm[j])) in lg.edges
-        for i, j in lg.edges
-    ):
-        return False
-    return map_induces_ex_hom(src, dst, f)
-
-
-def map_respects_uncrossed_pullback(
-    src: GeometricRealization, dst: GeometricRealization, f: VertexMap
-) -> bool:
-    """Every edge mapping onto an uncrossed target edge is itself uncrossed."""
-    uncrossed_dst = uncrossed_subgraph(dst).edges
-    uncrossed_src = uncrossed_subgraph(src).edges
-    for e in src.graph.edges:
-        image = f.map_edge(e)
-        if image in uncrossed_dst and e not in uncrossed_src:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

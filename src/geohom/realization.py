@@ -118,14 +118,6 @@ def make_realization(
     return GeometricRealization(graph, pts, norm_parts)
 
 
-def make_complete_bipartite_realization(points, parts) -> GeometricRealization:
-    """Realization of the complete bipartite graph over the given parts."""
-    a, b = (sorted(parts[0]), sorted(parts[1]))
-    n = len(a) + len(b)
-    graph = AbstractGraph.from_edges(n, ((u, v) for u in a for v in b))
-    return make_realization(graph, points, parts=(a, b))
-
-
 def crossing_structure(r: GeometricRealization) -> CrossingStructure:
     """All vertex-disjoint edge pairs whose segments properly cross."""
     return r.crossings
@@ -188,6 +180,11 @@ def realization_from_json(text: str) -> GeometricRealization:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad realization JSON: {exc}") from exc
+    return realization_from_payload(payload)
+
+
+def realization_from_payload(payload) -> GeometricRealization:
+    """The realization of an already parsed JSON value."""
     if not isinstance(payload, dict):
         raise ParseError("realization JSON must be an object")
     try:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from itertools import permutations, product
+from itertools import permutations
+from operator import getitem
 
 from . import reference_data as ref
 from .atlas import (
@@ -107,55 +108,110 @@ def resolve_reference_labeling(
     (label -> class index) and its mismatched cells as (row, col,
     expected) triples.
     """
-    classes = poset.classes
-    anchored = {
-        c.label: i for i, c in enumerate(classes) if not c.provisional
-    }
-    free_by_level: dict[int, tuple[list[str], list[int]]] = {}
-    for cr in sorted({c.signature.cr for c in classes}):
-        indices = [i for i, c in enumerate(classes) if c.signature.cr == cr]
-        all_labels = [f"{cr}.{k}" for k in range(1, len(indices) + 1)]
-        free_labels = [l for l in all_labels if l not in anchored]
-        prov = [i for i in indices if classes[i].provisional]
-        if free_labels:
-            free_by_level[cr] = (free_labels, prov)
-
-    def mismatches_for(labeling: dict[str, int]) -> list[tuple[str, str, bool]]:
-        out = []
-        for row in ref.LEVEL3_LABELS:
-            ri = labeling[row]
-            for col in ref.LEVEL5_LABELS:
-                expected = col in ref.LEVEL12_COVER_PATTERN[row]
-                if poset.leq[ri][labeling[col]] != expected:
-                    out.append((row, col, expected))
-        return out
-
-    def violates_facts(labeling: dict[str, int]) -> bool:
-        for src, dst, _ in ref.NON_PRECEDENCE_FACTS:
-            if poset.leq[labeling[src]][labeling[dst]]:
-                return True
-        return False
-
-    levels = sorted(free_by_level)
-    best_score = None
-    best: list[dict[str, int]] = []
-    for combo in product(
-        *(permutations(free_by_level[cr][1]) for cr in levels)
-    ):
-        labeling = dict(anchored)
-        for cr, perm in zip(levels, combo):
-            labeling.update(zip(free_by_level[cr][0], perm))
-        score = len(mismatches_for(labeling))
-        if best_score is None or score < best_score:
-            best_score = score
-            best = [labeling]
-        elif score == best_score:
-            best.append(labeling)
-
-    filtered = [l for l in best if not violates_facts(l)]
+    best = best_cover_fits(poset)
+    filtered = [
+        l
+        for l in best
+        if not any(
+            poset.leq[l[src]][l[dst]] for src, dst, _ in ref.NON_PRECEDENCE_FACTS
+        )
+    ]
     pool = filtered if filtered else best
     chosen = min(pool, key=lambda l: tuple(l[k] for k in sorted(l)))
-    return chosen, mismatches_for(chosen)
+    return chosen, _cover_mismatches(poset, chosen)
+
+
+def _cover_mismatches(
+    poset: HomPoset, labeling: dict[str, int]
+) -> list[tuple[str, str, bool]]:
+    """The level-1-to-2 cells where the labeled order departs from the
+    reference pattern, as (row, col, expected) triples."""
+    out = []
+    for row in ref.LEVEL3_LABELS:
+        ri = labeling[row]
+        for col in ref.LEVEL5_LABELS:
+            expected = col in ref.LEVEL12_COVER_PATTERN[row]
+            if poset.leq[ri][labeling[col]] != expected:
+                out.append((row, col, expected))
+    return out
+
+
+def best_cover_fits(poset: HomPoset) -> list[dict[str, int]]:
+    """Every labeling of the provisional classes (each permutation of the
+    free labels of level 3 times each of level 5) tied at the fewest
+    mismatched cover cells.
+
+    Per assignment of the free level-5 labels (the columns), each class's
+    row of the order over the columns is packed into one int, so giving a
+    class a row label costs the popcount of the XOR with that row's
+    expected pattern.  Every permutation of the free row labels then sums
+    one cell per row of that cost table, and label dicts are built only
+    for the ties.
+    """
+    classes = poset.classes
+    anchored = {c.label: i for i, c in enumerate(classes) if not c.provisional}
+    free: dict[int, tuple[list[str], list[int]]] = {}
+    for cr in (3, 5):
+        indices = [i for i, c in enumerate(classes) if c.signature.cr == cr]
+        labels = [f"{cr}.{k}" for k in range(1, len(indices) + 1)]
+        free[cr] = (
+            [l for l in labels if l not in anchored],
+            [i for i in indices if classes[i].provisional],
+        )
+    stray = sorted(
+        {c.signature.cr for c in classes if c.provisional} - set(free)
+    )
+    if stray:
+        raise ValueError(
+            f"provisional classes on levels {stray}; only levels 3 and 5"
+            " are pinned against the cover pattern"
+        )
+    row_labels, row_classes = free[3]
+    col_labels, col_classes = free[5]
+    want = {
+        row: sum(
+            1 << k
+            for k, col in enumerate(ref.LEVEL5_LABELS)
+            if col in ref.LEVEL12_COVER_PATTERN[row]
+        )
+        for row in ref.LEVEL3_LABELS
+    }
+    fixed_rows = [
+        (anchored[row], want[row]) for row in ref.LEVEL3_LABELS if row in anchored
+    ]
+    row_wants = [want[row] for row in row_labels]
+    row_perms = list(permutations(range(len(row_classes))))
+    leq = poset.leq
+
+    best_score = None
+    best: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for col_perm in permutations(col_classes):
+        column = dict(anchored)
+        column.update(zip(col_labels, col_perm))
+        cols = [column[col] for col in ref.LEVEL5_LABELS]
+
+        def bits(i: int) -> int:
+            row = leq[i]
+            return sum(row[j] << k for k, j in enumerate(cols))
+
+        fixed = sum((bits(i) ^ w).bit_count() for i, w in fixed_rows)
+        packed = [bits(i) for i in row_classes]
+        cost = [[(b ^ w).bit_count() for b in packed] for w in row_wants]
+        for perm in row_perms:
+            score = fixed + sum(map(getitem, cost, perm))
+            if best_score is None or score < best_score:
+                best_score = score
+                best = [(col_perm, perm)]
+            elif score == best_score:
+                best.append((col_perm, perm))
+
+    out = []
+    for col_perm, perm in best:
+        labeling = dict(anchored)
+        labeling.update(zip(row_labels, (row_classes[p] for p in perm)))
+        labeling.update(zip(col_labels, col_perm))
+        out.append(labeling)
+    return out
 
 
 def pin_reference_labels(

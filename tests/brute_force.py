@@ -1,12 +1,15 @@
 """Definition-level references for the tests, independent of the
-symmetry tables: isomorphism by brute force, and every graph
-homomorphism K_{3,3} -> K_{3,3} as a candidate vertex map."""
+symmetry tables and of the packed label scorer: isomorphism by brute
+force, every graph homomorphism K_{3,3} -> K_{3,3} as a candidate vertex
+map, and label pinning by scoring each labeling cell by cell."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
+from geohom import reference_data as ref
 from geohom.morphisms import VertexMap, brute_force_injective_geo_homomorphisms
+from geohom.poset import HomPoset
 from geohom.realization import GeometricRealization, crossing_structure
 
 
@@ -32,3 +35,67 @@ def part_respecting_maps() -> list[VertexMap]:
         for first in product(here, repeat=3)
         for second in product(there, repeat=3)
     ]
+
+
+def _mismatches(
+    poset: HomPoset, labeling: dict[str, int]
+) -> list[tuple[str, str, bool]]:
+    out = []
+    for row in ref.LEVEL3_LABELS:
+        ri = labeling[row]
+        for col in ref.LEVEL5_LABELS:
+            expected = col in ref.LEVEL12_COVER_PATTERN[row]
+            if poset.leq[ri][labeling[col]] != expected:
+                out.append((row, col, expected))
+    return out
+
+
+def best_cover_fits(poset: HomPoset) -> list[dict[str, int]]:
+    """Every labeling tied at the fewest cover mismatches: one label dict
+    per permutation of each level's free labels, each scored over all 56
+    cover cells."""
+    classes = poset.classes
+    anchored = {c.label: i for i, c in enumerate(classes) if not c.provisional}
+    free_by_level: dict[int, tuple[list[str], list[int]]] = {}
+    for cr in sorted({c.signature.cr for c in classes}):
+        indices = [i for i, c in enumerate(classes) if c.signature.cr == cr]
+        all_labels = [f"{cr}.{k}" for k in range(1, len(indices) + 1)]
+        free_labels = [l for l in all_labels if l not in anchored]
+        prov = [i for i in indices if classes[i].provisional]
+        if free_labels:
+            free_by_level[cr] = (free_labels, prov)
+
+    levels = sorted(free_by_level)
+    best_score = None
+    best: list[dict[str, int]] = []
+    for combo in product(*(permutations(free_by_level[cr][1]) for cr in levels)):
+        labeling = dict(anchored)
+        for cr, perm in zip(levels, combo):
+            labeling.update(zip(free_by_level[cr][0], perm))
+        score = len(_mismatches(poset, labeling))
+        if best_score is None or score < best_score:
+            best_score = score
+            best = [labeling]
+        elif score == best_score:
+            best.append(labeling)
+    return best
+
+
+def resolve_reference_labeling(
+    poset: HomPoset,
+) -> tuple[dict[str, int], list[tuple[str, str, bool]]]:
+    """The best cover fits, narrowed to those that break no
+    non-precedence fact (if any do not), then the least by class indices
+    in label order; with its mismatched cells."""
+    best = best_cover_fits(poset)
+
+    def violates_facts(labeling: dict[str, int]) -> bool:
+        return any(
+            poset.leq[labeling[src]][labeling[dst]]
+            for src, dst, _ in ref.NON_PRECEDENCE_FACTS
+        )
+
+    filtered = [l for l in best if not violates_facts(l)]
+    pool = filtered if filtered else best
+    chosen = min(pool, key=lambda l: tuple(l[k] for k in sorted(l)))
+    return chosen, _mismatches(poset, chosen)

@@ -51,8 +51,9 @@ from geohom.poset import (
 from geohom.realization import (
     bipartitions_of_6,
     crossing_structure,
-    make_complete_bipartite_realization,
 )
+
+from helpers import make_complete_bipartite_realization
 
 
 def report(name, detail):

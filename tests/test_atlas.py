@@ -43,11 +43,11 @@ from geohom.graph_core import ParseError
 from geohom.invariants import signature, signature_to_dict
 from geohom.realization import (
     bipartitions_of_6,
-    make_complete_bipartite_realization,
     realization_from_json,
 )
 
 from brute_force import geo_isomorphic
+from helpers import make_complete_bipartite_realization
 
 QUICK = dict(stabilization_window=4000, max_samples=100_000)
 

@@ -9,15 +9,17 @@ from geohom.invariants import (
 from geohom.morphisms import (
     injective_geo_homomorphisms,
     is_geo_homomorphism,
-    map_induces_ex_hom,
-    map_induces_lex_hom,
-    map_respects_uncrossed_pullback,
     prop_conditions,
     VertexMap,
 )
 from geohom.realization import complete_to_k6
 
 from brute_force import geo_isomorphic
+from helpers import (
+    map_induces_ex_hom,
+    map_induces_lex_hom,
+    map_respects_uncrossed_pullback,
+)
 
 
 def test_lex_forms_distinguish_54_and_56(pinned_atlas):

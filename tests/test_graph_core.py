@@ -5,7 +5,6 @@ import pytest
 
 from geohom.graph_core import (
     AbstractGraph,
-    ParseError,
     TwoColoredGraph,
     all_graph_automorphisms,
     canonical_label,
@@ -16,9 +15,7 @@ from geohom.graph_core import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    graph_from_literal,
     graph_isomorphism,
-    graph_to_literal,
     matching_graph,
     path_graph,
     subgraph_embeds,
@@ -106,24 +103,6 @@ def test_named_constructors():
     assert empty_graph(9).m == 0
     u = disjoint_union(cycle_graph(4), matching_graph(1), empty_graph(3))
     assert (u.n, u.m) == (9, 5)
-
-
-def test_literal_roundtrip():
-    g = disjoint_union(path_graph(4), matching_graph(1))
-    text = graph_to_literal(g)
-    assert graph_from_literal(text) == g
-    # whitespace-insensitive
-    assert graph_from_literal(" n = 3 ;\n edges = 0-1 , 1-2 ") == path_graph(3)
-    assert graph_from_literal("n=2; edges=") == empty_graph(2)
-
-
-def test_literal_errors():
-    with pytest.raises(ParseError):
-        graph_from_literal("vertices=3; edges=0-1")
-    with pytest.raises(ParseError):
-        graph_from_literal("n=3; edges=0-1-2")
-    with pytest.raises(ParseError):
-        graph_from_literal("n=2; edges=0-5")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ rational predicate, the packed six-point chirotope against the
 orientation table, the seeded point generator against randrange, the
 atlas masks against the realization's crossing structure, the symmetry
 tables against brute-force isomorphism and homomorphism, canonical
-labels against the isomorphism search, and the pinned order against a
-fresh build."""
+labels against the isomorphism search, the pinned order against a
+fresh build, and the packed label scorer against one that scores every
+labeling cell by cell."""
 
 from __future__ import annotations
 
@@ -50,18 +51,23 @@ from geohom.morphisms import (
     brute_force_injective_geo_homomorphisms,
     is_geo_homomorphism,
 )
-from geohom.poset import build_poset
+from geohom.poset import HomPoset, build_poset
 from geohom.realization import (
     bipartitions_of_6,
     crossing_structure,
-    make_complete_bipartite_realization,
     make_realization,
     ordered_pair,
     rational_crossing_structure,
 )
-from geohom.verify import pin_reference_labels
+from geohom.verify import (
+    best_cover_fits,
+    pin_reference_labels,
+    resolve_reference_labeling,
+)
 
+import brute_force
 from brute_force import geo_isomorphic, part_respecting_maps
+from helpers import make_complete_bipartite_realization
 
 # small coordinates make near-degenerate sets common; the full range
 # exercises products far beyond a machine word
@@ -324,3 +330,40 @@ def test_pinned_poset_equals_fresh_search(atlas_k33_a, order):
     assert poset.leq == fresh.leq
     assert poset.rank == fresh.rank
     assert poset.hasse_edges == fresh.hasse_edges
+
+
+def _tie_set(labelings):
+    return {frozenset(l.items()) for l in labelings}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(order=st.permutations(range(19)), data=st.data())
+def test_packed_label_scorer_matches_reference(atlas_k33_a, order, data):
+    shuffled = Atlas("k33", [atlas_k33_a.classes[i] for i in order])
+    _, pinned, _ = pin_reference_labels(shuffled)
+    # pinning sorts by label; reorder again so the index tie-break sees
+    # arbitrary class indices
+    classes = [pinned.classes[i] for i in order]
+    leq = [[pinned.leq[i][j] for j in order] for i in order]
+    # flips land where the scorer and the facts filter read: level-1 and
+    # level-2 rows against level-2 and level-3 columns
+    crs = [c.signature.cr for c in classes]
+    cells = [
+        (i, j)
+        for i in range(19)
+        for j in range(19)
+        if crs[i] in (3, 5) and crs[j] in (5, 7)
+    ]
+    flips = data.draw(st.lists(st.sampled_from(cells), max_size=12, unique=True))
+    for i, j in flips:
+        leq[i][j] = not leq[i][j]
+    flipped = HomPoset(classes, leq)
+    assert _tie_set(best_cover_fits(flipped)) == _tie_set(
+        brute_force.best_cover_fits(flipped)
+    )
+    expected = brute_force.resolve_reference_labeling(flipped)
+    assert resolve_reference_labeling(flipped) == expected

@@ -14,11 +14,12 @@ from geohom.realization import (
     bipartitions_of_6,
     complete_to_k6,
     crossing_structure,
-    make_complete_bipartite_realization,
     make_realization,
     realization_from_json,
     realization_to_json,
 )
+
+from helpers import make_complete_bipartite_realization
 
 TRIANGLE = AbstractGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 

@@ -33,6 +33,16 @@ def test_resolution_respects_anchors(labeled_atlas):
             assert labeling[cls.label] == i
 
 
+def test_resolution_pins_only_levels_3_and_5(labeled_atlas):
+    poset = build_poset(labeled_atlas)
+    poset.classes = [
+        replace(c, provisional=True) if c.label == "7.1" else c
+        for c in poset.classes
+    ]
+    with pytest.raises(ValueError, match=r"levels \[7\]"):
+        resolve_reference_labeling(poset)
+
+
 def test_resolution_mismatch_is_the_known_cell(cover_mismatches):
     assert len(cover_mismatches) == 1
     row, col, expected = cover_mismatches[0]
