@@ -27,6 +27,12 @@ new class, or runs out of budget, raises BudgetExhausted with the
 partial result.  Random configurations come from ``random_point_sets``,
 the one seeded generator, which the parity check in ``verify`` draws
 from too.
+
+A class's invariant signature depends only on its orbit:
+``orbit_signature`` computes it once per orbit per process, from the
+orbit's least mask (``orbit_keys`` lists it per proven class), and
+enumeration reads it there.  A loaded atlas is checked against each
+representative's own signature, computed on every load.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .graph_core import (
 )
 from .invariants import (
     InvariantSignature,
+    crossing_signature,
     edge_crossing_graph,
     signature,
     signature_from_dict,
@@ -300,6 +307,27 @@ def proven_class_count(target: str) -> int:
     return len(set(proven_classes(target).values()))
 
 
+@cache
+def orbit_keys(target: str) -> tuple[int, ...]:
+    """Per proven class of the target: the least mask of its orbit."""
+    least: dict[int, int] = {}
+    for mask, cls in sorted(proven_classes(target).items(), reverse=True):
+        least[cls] = mask
+    return tuple(least[cls] for cls in range(len(least)))
+
+
+@cache
+def orbit_signature(target: str, orbit_key: int) -> InvariantSignature:
+    """The signature of every drawing of the target whose mask lies in the
+    orbit with least mask orbit_key: isomorphic drawings share it, so it
+    is computed once per orbit, from the target graph and the edge pairs
+    of that mask."""
+    pairs = [
+        pair for bit, pair in enumerate(_MASK_PAIRS[target]) if orbit_key >> bit & 1
+    ]
+    return crossing_signature(_GRAPHS[target], pairs)
+
+
 class _Dedup:
     """Atlas classes keyed by proven class: the first drawing of a proven
     class opens an atlas class, and every later drawing of it is a hit."""
@@ -329,15 +357,17 @@ class _Dedup:
         return idx, True
 
     def finalize(self, counts: list[int]) -> list[RealizationClass]:
+        keys = orbit_keys(self.target)
+        # class_of holds the proven classes in the order they opened classes
         return [
             RealizationClass(
                 representative=rep,
-                signature=signature(rep),
+                signature=orbit_signature(self.target, keys[proven]),
                 label=None,
                 provisional=True,
                 discovery_count=count,
             )
-            for rep, count in zip(self.reps, counts)
+            for rep, proven, count in zip(self.reps, self.class_of, counts)
         ]
 
 
@@ -742,4 +772,8 @@ def atlas_from_json(text: str) -> Atlas:
 
 def load_atlas(path) -> Atlas:
     with open(path, "r", encoding="utf-8") as fh:
-        return atlas_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"atlas file is not UTF-8: {exc}") from exc
+    return atlas_from_json(text)

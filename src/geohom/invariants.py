@@ -7,6 +7,11 @@ for crossings, dashed edges for shared endpoints), and the edge
 thickness (fewest mutually non-crossing edge classes, i.e. the chromatic
 number of the edge crossing graph).  Together they form a signature used
 to separate realization classes quickly.
+
+Each invariant depends only on the graph and its crossing pairs, so the
+signature has a core, ``crossing_signature``, that takes exactly those;
+``signature`` applies it to a realization.  Isomorphic drawings have
+equal signatures, which is why the atlas computes one per class orbit.
 """
 
 from __future__ import annotations
@@ -64,8 +69,12 @@ class InvariantSignature:
 
 def per_edge_crossing_counts(r: GeometricRealization) -> dict[Edge, int]:
     """Number of edges crossing each edge, keyed in sorted edge order."""
-    counts = {e: 0 for e in r.graph.sorted_edges()}
-    for e, f in crossing_structure(r):
+    return _per_edge_counts(r.graph, crossing_structure(r))
+
+
+def _per_edge_counts(graph: AbstractGraph, pairs) -> dict[Edge, int]:
+    counts = {e: 0 for e in graph.sorted_edges()}
+    for e, f in pairs:
         counts[e] += 1
         counts[f] += 1
     return counts
@@ -86,23 +95,32 @@ def cr_edge(r: GeometricRealization, e: Edge) -> int:
 
 def uncrossed_subgraph(r: GeometricRealization) -> AbstractGraph:
     """Subgraph on the same vertices keeping only crossing-free edges."""
-    counts = per_edge_crossing_counts(r)
-    return AbstractGraph.from_edges(
-        r.graph.n, (e for e, c in counts.items() if c == 0)
-    )
+    return _uncrossed_subgraph(r.graph, crossing_structure(r))
+
+
+def _uncrossed_subgraph(graph: AbstractGraph, pairs) -> AbstractGraph:
+    counts = _per_edge_counts(graph, pairs)
+    return AbstractGraph.from_edges(graph.n, (e for e, c in counts.items() if c == 0))
 
 
 def edge_index_map(r: GeometricRealization) -> dict[Edge, int]:
     """Fixed vertex numbering of the edge-based graphs: lexicographic edges."""
-    return {e: i for i, e in enumerate(r.graph.sorted_edges())}
+    return _edge_index(r.graph)
+
+
+def _edge_index(graph: AbstractGraph) -> dict[Edge, int]:
+    return {e: i for i, e in enumerate(graph.sorted_edges())}
 
 
 def edge_crossing_graph(r: GeometricRealization) -> AbstractGraph:
     """Graph on the edges of r, adjacent exactly when they cross."""
-    index = edge_index_map(r)
+    return _edge_crossing_graph(r.graph, crossing_structure(r))
+
+
+def _edge_crossing_graph(graph: AbstractGraph, pairs) -> AbstractGraph:
+    index = _edge_index(graph)
     return AbstractGraph.from_edges(
-        len(index),
-        ((index[e], index[f]) for e, f in crossing_structure(r)),
+        len(index), ((index[e], index[f]) for e, f in pairs)
     )
 
 
@@ -113,9 +131,13 @@ def line_crossing_graph(r: GeometricRealization) -> TwoColoredGraph:
     solid and dashed parts are disjoint because crossing edges are
     vertex-disjoint.
     """
-    index = edge_index_map(r)
-    solid = [(index[e], index[f]) for e, f in crossing_structure(r)]
-    return TwoColoredGraph.from_edges(len(index), solid, line_graph(r.graph).edges)
+    return _line_crossing_graph(r.graph, crossing_structure(r))
+
+
+def _line_crossing_graph(graph: AbstractGraph, pairs) -> TwoColoredGraph:
+    index = _edge_index(graph)
+    solid = [(index[e], index[f]) for e, f in pairs]
+    return TwoColoredGraph.from_edges(len(index), solid, line_graph(graph).edges)
 
 
 def edge_thickness(r: GeometricRealization) -> int:
@@ -123,15 +145,25 @@ def edge_thickness(r: GeometricRealization) -> int:
     return chromatic_number(edge_crossing_graph(r))
 
 
-def signature(r: GeometricRealization) -> InvariantSignature:
+def crossing_signature(graph: AbstractGraph, pairs) -> InvariantSignature:
+    """The signature of a drawing of graph whose crossing pairs (edge
+    pairs, each edge as (low, high)) are pairs: it depends on nothing else
+    of the drawing."""
+    ex = _edge_crossing_graph(graph, pairs)
     return InvariantSignature(
-        cr=len(crossing_structure(r)),
-        per_edge_cr_multiset=tuple(sorted(per_edge_crossing_counts(r).values())),
-        uncrossed_class=canonical_label(uncrossed_subgraph(r)),
-        ex_class=canonical_label(edge_crossing_graph(r)),
-        lex_class=canonical_two_colored_label(line_crossing_graph(r)),
-        thickness=edge_thickness(r),
+        cr=len(pairs),
+        per_edge_cr_multiset=tuple(sorted(_per_edge_counts(graph, pairs).values())),
+        uncrossed_class=canonical_label(_uncrossed_subgraph(graph, pairs)),
+        ex_class=canonical_label(ex),
+        lex_class=canonical_two_colored_label(_line_crossing_graph(graph, pairs)),
+        thickness=chromatic_number(ex),
     )
+
+
+def signature(r: GeometricRealization) -> InvariantSignature:
+    """The signature of a drawing: the definition that the per-orbit
+    signatures of ``atlas.orbit_signature`` must agree with."""
+    return crossing_signature(r.graph, crossing_structure(r))
 
 
 # ---------------------------------------------------------------------------

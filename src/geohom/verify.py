@@ -38,7 +38,6 @@ from .atlas import (
     crossing_mask_of,
     enumerate_atlases,
     load_atlas,
-    mask_orbit,
     proven_class_count,
     proven_classes,
     random_point_sets,
@@ -340,13 +339,11 @@ def build_artifacts(
 # ---------------------------------------------------------------------------
 
 def _missed_classes(atlas: Atlas) -> int:
-    """Proven classes of the atlas's target with a mask in no orbit of the
-    atlas's classes."""
-    reached = set().union(
-        *(mask_orbit(atlas.target, crossing_mask_of(c.representative)) for c in atlas.classes)
-    )
+    """Proven classes of the atlas's target that no class of the atlas
+    lies in."""
     proven = proven_classes(atlas.target)
-    return len({cls for mask, cls in proven.items() if mask not in reached})
+    reached = {proven.get(crossing_mask_of(c.representative)) for c in atlas.classes}
+    return len(set(proven.values()) - reached)
 
 
 def check_atlas_counts(art: VerificationArtifacts) -> CheckResult:
@@ -409,34 +406,33 @@ def check_parity_property(
         if code is None:
             continue
         mask = crossing_mask(chirotope_signs(code), 6)
-        for parts, joining in zip(bipartitions_of_6(), JOINING_MASKS):
-            c = (mask & joining).bit_count()
-            if c % 2 == 0:
-                return CheckResult(
-                    "parity-property",
-                    False,
-                    f"even crossing count {c} at points {pts}"
-                    f" parts {sorted(map(sorted, parts))}",
-                )
+        for joining in JOINING_MASKS:
+            if not (mask & joining).bit_count() & 1:
+                return _even_parity(mask, joining, f"at points {pts}")
         checked += 1
         if checked == sample_count:
             break
     masks = proven_classes("k6")
     for mask in masks:
-        for parts, joining in zip(bipartitions_of_6(), JOINING_MASKS):
-            c = (mask & joining).bit_count()
-            if c % 2 == 0:
-                return CheckResult(
-                    "parity-property",
-                    False,
-                    f"even crossing count {c} in the proven K_6 mask {mask:#x}"
-                    f" parts {sorted(map(sorted, parts))}",
-                )
+        for joining in JOINING_MASKS:
+            if not (mask & joining).bit_count() & 1:
+                return _even_parity(mask, joining, f"in the proven K_6 mask {mask:#x}")
     return CheckResult(
         "parity-property",
         True,
         f"{sample_count} point sets x 10 bipartitions, and all {len(masks)}"
         " proven K_6 masks x 10 bipartitions, all odd",
+    )
+
+
+def _even_parity(mask: int, joining: int, where: str) -> CheckResult:
+    """The failure of the parity check at one K_6 mask and bipartition."""
+    parts = bipartitions_of_6()[JOINING_MASKS.index(joining)]
+    return CheckResult(
+        "parity-property",
+        False,
+        f"even crossing count {(mask & joining).bit_count()} {where}"
+        f" parts {sorted(map(sorted, parts))}",
     )
 
 
@@ -640,7 +636,7 @@ def _validate_poset_file(path, art: VerificationArtifacts) -> list[str]:
         labels, leq, hasse, rank = (
             payload[key] for key in ("labels", "leq", "hasse_edges", "rank")
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         return [f"unreadable poset file: {exc}"]
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         return ["supplied poset: labels is not a list of strings"]

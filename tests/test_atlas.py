@@ -536,8 +536,9 @@ def test_import_builds_no_symmetry_table():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import geohom, geohom.cli\n"
-        "from geohom.atlas import proven_classes, symmetry_table\n"
-        "caches = (symmetry_table, proven_classes)\n"
+        "from geohom.atlas import orbit_keys, orbit_signature, proven_classes,"
+        " symmetry_table\n"
+        "caches = (symmetry_table, proven_classes, orbit_keys, orbit_signature)\n"
         "print(sum(f.cache_info().currsize for f in caches))"
     )
     out = subprocess.run(

@@ -151,6 +151,39 @@ def test_tampered_atlas_rejected(tmp_path, capsys):
     assert "stored signature" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (["hom", "3.1", "5.1"], ["poset"], ["export", "--what", "atlas"]):
+        capsys.readouterr()
+        assert run([*argv, "--atlas", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: atlas file is not UTF-8")
+    rc = run(
+        [
+            "verify",
+            "--atlas", str(bad),
+            "--poset", str(bad),
+            *FAST,
+            "--parity-sets", "100",
+            "--quadruples", "50",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.out.splitlines()
+    assert any(
+        line.startswith("FAIL atlas-counts")
+        and "unreadable atlas file: atlas file is not UTF-8" in line
+        for line in lines
+    )
+    assert any(
+        line.startswith("FAIL poset-structure") and "unreadable poset file" in line
+        for line in lines
+    )
+
+
 @pytest.mark.parametrize("field, value", [("discovery_count", "x"), ("label", ["a"])])
 def test_malformed_record_is_an_error(field, value, tmp_path, capsys):
     atlas = tmp_path / "atlas.json"

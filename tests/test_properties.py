@@ -2,10 +2,11 @@
 rational predicate, the packed six-point chirotope against the
 orientation table, the seeded point generator against randrange, the
 atlas masks against the realization's crossing structure, the symmetry
-tables against brute-force isomorphism and homomorphism, canonical
-labels against the isomorphism search, the pinned order against a
-fresh build, and the packed label scorer against one that scores every
-labeling cell by cell."""
+tables against brute-force isomorphism and homomorphism, the per-orbit
+signatures against the signature of each drawing, canonical labels
+against the isomorphism search, the pinned order against a fresh build,
+and the packed label scorer against one that scores every labeling cell
+by cell."""
 
 from __future__ import annotations
 
@@ -25,6 +26,9 @@ from geohom.atlas import (
     crossing_mask_of,
     k33_masks,
     mask_orbit,
+    orbit_keys,
+    orbit_signature,
+    proven_classes,
     random_point_sets,
 )
 from geohom.exact_geometry import (
@@ -248,6 +252,38 @@ def graph_pairs(draw):
     perm = draw(st.permutations(range(n)))
     moved = [(perm[u], perm[v]) for u, v in other]
     return AbstractGraph.from_edges(n, edges), AbstractGraph.from_edges(n, moved)
+
+
+def test_orbit_signature_is_the_representatives(atlases_a, atlases_b):
+    # the stored signature of every session class is its representative's
+    # own (the definition), read off the orbit of the class's proven id
+    for atlases in (atlases_a, atlases_b):
+        for target, atlas in atlases.items():
+            proven = proven_classes(target)
+            for cls in atlas.classes:
+                mask = crossing_mask_of(cls.representative)
+                key = min(mask_orbit(target, mask))
+                assert orbit_keys(target)[proven[mask]] == key
+                assert cls.signature == signature(cls.representative)
+                assert orbit_signature(target, key) == cls.signature
+
+
+def test_every_k33_mask_has_its_orbit_signature():
+    # __wrapped__ is the uncached function: the signature built from one mask
+    keys = orbit_keys("k33")
+    for mask, cls in proven_classes("k33").items():
+        assert orbit_signature.__wrapped__("k33", mask) == orbit_signature(
+            "k33", keys[cls]
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_k6_masks_have_their_orbit_signature(data):
+    masks = sorted(proven_classes("k6"))
+    mask = masks[data.draw(st.integers(0, len(masks) - 1))]
+    key = orbit_keys("k6")[proven_classes("k6")[mask]]
+    assert orbit_signature.__wrapped__("k6", mask) == orbit_signature("k6", key)
 
 
 @settings(max_examples=300, deadline=None)

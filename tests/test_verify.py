@@ -4,6 +4,8 @@ from dataclasses import replace
 import pytest
 
 from geohom import atlas
+from geohom.atlas import K6_CLASS_COUNT, K33_CLASS_COUNT, orbit_signature
+from geohom.invariants import crossing_signature
 from geohom.poset import build_poset, poset_to_json
 from geohom.verify import (
     VerificationArtifacts,
@@ -163,3 +165,29 @@ def test_parity_property_covers_every_proven_mask(monkeypatch):
     result = check_parity_property(1)
     assert not result.passed
     assert result.detail.startswith("even crossing count 0 in the proven K_6 mask 0x0")
+
+
+def test_parity_property_names_the_sampled_bipartition(monkeypatch):
+    # the sampled half: a point set drawn as uncrossed fails at the first
+    # bipartition, and the failure names it
+    monkeypatch.setattr("geohom.verify.crossing_mask", lambda signs, n: 0)
+    result = check_parity_property(1)
+    assert not result.passed
+    assert result.detail.startswith("even crossing count 0 at points")
+    assert result.detail.endswith("parts [[0, 1, 2], [3, 4, 5]]")
+
+
+def test_verify_computes_one_signature_per_class_orbit(monkeypatch):
+    # a class's signature depends only on its orbit: a default verify (two
+    # seeds, both targets) computes each of the 19 + 15 orbit signatures once
+    calls = []
+
+    def counted(graph, pairs):
+        calls.append(graph)
+        return crossing_signature(graph, pairs)
+
+    orbit_signature.cache_clear()
+    monkeypatch.setattr("geohom.atlas.crossing_signature", counted)
+    results, _ = run_verification()
+    assert all(r.passed for r in results), [r.line() for r in results]
+    assert len(calls) == K33_CLASS_COUNT + K6_CLASS_COUNT
