@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .atlas import (
     K33_CLASS_COUNT,
@@ -184,7 +185,10 @@ def cmd_export(args) -> int:
     return _write_or_print(line_crossing_graph_to_dot(cls.representative), args.out)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each ``parse_args`` call
+    still returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="geohom",
         description=(

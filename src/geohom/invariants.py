@@ -67,11 +67,6 @@ class InvariantSignature:
         )
 
 
-def per_edge_crossing_counts(r: GeometricRealization) -> dict[Edge, int]:
-    """Number of edges crossing each edge, keyed in sorted edge order."""
-    return _per_edge_counts(r.graph, crossing_structure(r))
-
-
 def _per_edge_counts(graph: AbstractGraph, pairs) -> dict[Edge, int]:
     counts = {e: 0 for e in graph.sorted_edges()}
     for e, f in pairs:

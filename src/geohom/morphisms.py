@@ -8,7 +8,9 @@ carrying edges onto edges, that is a graph automorphism, and it
 preserves crossings iff it carries the source's crossing mask into the
 target's.  So the witnesses are read off the atlas symmetry table; the
 definition-level brute force over every injective map is kept as the
-independent oracle.
+independent oracle.  It tests every injective map's edges once per graph
+pair (every atlas drawing shares one graph, so once per process) and
+each surviving map's crossings per drawing pair.
 
 The three necessary conditions for a vertex-injective homomorphism
 (uncrossed pullback, injective embedding of crossing graphs, and a
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import permutations
 
 from .atlas import automorphisms, crossing_mask_of, shared_layout, symmetry_table
 from .graph_core import (
@@ -114,42 +117,52 @@ def injective_geo_homomorphisms(
     ]
 
 
-def brute_force_injective_geo_homomorphisms(
-    src: GeometricRealization, dst: GeometricRealization
-) -> list[VertexMap]:
-    """Oracle path: test every injective vertex map against the definition.
-
-    No use of the symmetry tables; kept independent of
-    injective_geo_homomorphisms so the two can be compared.
-    """
-    from itertools import permutations
-
-    n_src, n_dst = src.graph.n, dst.graph.n
-    src_edges = sorted(src.graph.edges)
-    dst_edges = dst.graph.edges
-    x_src = sorted(crossing_structure(src).pairs)
-    x_dst = crossing_structure(dst).pairs
+@cache
+def _edge_preserving_maps(
+    src_graph: AbstractGraph, dst_graph: AbstractGraph
+) -> tuple[tuple[int, ...], ...]:
+    """Every injective vertex map src_graph -> dst_graph carrying edges
+    onto edges, in lexicographic order: the edge half of the brute force,
+    tested on every injective map once per graph pair (cached)."""
+    src_edges = sorted(src_graph.edges)
+    dst_edges = dst_graph.edges
     out = []
-    for perm in permutations(range(n_dst), n_src):
-        ok = True
+    for perm in permutations(range(dst_graph.n), src_graph.n):
         for u, v in src_edges:
             a, b = perm[u], perm[v]
             if ((a, b) if a < b else (b, a)) not in dst_edges:
-                ok = False
                 break
-        if not ok:
-            continue
+        else:
+            out.append(perm)
+    return tuple(out)
+
+
+def brute_force_injective_geo_homomorphisms(
+    src: GeometricRealization, dst: GeometricRealization
+) -> list[VertexMap]:
+    """Oracle path: every injective vertex map tested against the
+    definition, sorted by images.
+
+    All injective maps are tested: the edge test once per graph pair (in
+    ``_edge_preserving_maps``), then the crossing-pair test per drawing
+    pair on the maps that pass it.  No use of the symmetry tables; kept
+    independent of injective_geo_homomorphisms so the two can be compared.
+    """
+    n_src, n_dst = src.graph.n, dst.graph.n
+    x_src = sorted(crossing_structure(src).pairs)
+    x_dst = crossing_structure(dst).pairs
+    out = []
+    for perm in _edge_preserving_maps(src.graph, dst.graph):
         for e, f in x_src:
             a, b = perm[e[0]], perm[e[1]]
             c, d = perm[f[0]], perm[f[1]]
             ie = (a, b) if a < b else (b, a)
             ig = (c, d) if c < d else (d, c)
             if ordered_pair(ie, ig) not in x_dst:
-                ok = False
                 break
-        if ok:
+        else:
             out.append(VertexMap(n_src, n_dst, perm))
-    return sorted(out, key=lambda f: f.images)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -396,19 +396,24 @@ def check_parity_property(
     """Every K_{3,3} drawing has an odd crossing count.  Each point set is
     drawn once, as a K_6 crossing mask: a bipartition's drawing crosses in
     exactly the K_6 pairs whose two edges both join the parts.  The point
-    sets come from the atlas's seeded generator; every mask is computed.
-    Then the same test runs on every mask of the proven K_6 classes, that
-    is on every drawing of K_{3,3} there is."""
+    sets come from the atlas's seeded generator, and each is counted; a
+    mask is a function of the point set's chirotope, so every distinct
+    chirotope's mask is computed and tested once.  Then the same test runs
+    on every mask of the proven K_6 classes, that is on every drawing of
+    K_{3,3} there is."""
     _require_positive(sample_count, "parity sample count")
     checked = 0
+    seen = set()
     for pts in random_point_sets(seed, 1000):
         code = chirotope_code(pts)
         if code is None:
             continue
-        mask = crossing_mask(chirotope_signs(code), 6)
-        for joining in JOINING_MASKS:
-            if not (mask & joining).bit_count() & 1:
-                return _even_parity(mask, joining, f"at points {pts}")
+        if code not in seen:
+            seen.add(code)
+            mask = crossing_mask(chirotope_signs(code), 6)
+            for joining in JOINING_MASKS:
+                if not (mask & joining).bit_count() & 1:
+                    return _even_parity(mask, joining, f"at points {pts}")
         checked += 1
         if checked == sample_count:
             break
@@ -517,6 +522,17 @@ def check_cover_pattern(art: VerificationArtifacts) -> CheckResult:
         )
     if len(mism) == 1 and mism[0] in _KNOWN_REFUTED_CELLS:
         row, col, _ = mism[0]
+        found = brute_force_injective_geo_homomorphisms(
+            art.pinned.find(row).representative,
+            art.pinned.find(col).representative,
+        )
+        if found:
+            return CheckResult(
+                "cover-pattern",
+                False,
+                f"the order misses the reference entry ({row}, {col}), but"
+                f" brute force finds the injective map {list(found[0].images)}",
+            )
         return CheckResult(
             "cover-pattern",
             True,

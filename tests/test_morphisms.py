@@ -11,6 +11,7 @@ from geohom.morphisms import (
     NotApplicable,
     PropReport,
     VertexMap,
+    _edge_preserving_maps,
     brute_force_injective_geo_homomorphisms,
     explain_non_precedence,
     hom_query,
@@ -118,6 +119,60 @@ def test_find_matches_brute_force(cr1, cr3, cr9):
                 for f in brute_force_injective_geo_homomorphisms(src, dst)
             ]
             assert table == brute
+
+
+def _definition_maps(src, dst):
+    """Images of every permutation that is a geometric homomorphism by
+    is_geo_homomorphism, in lexicographic order."""
+    return [
+        p
+        for p in permutations(range(6))
+        if is_geo_homomorphism(src, dst, VertexMap(6, 6, p))
+    ]
+
+
+def test_brute_force_is_the_definition(cr1, cr3, cr9):
+    # the edge test is cached per graph pair; other_parts has another graph
+    # than cr3, so both directions between them share the memo with the
+    # K_{3,3} -> K_{3,3} entry without reading it
+    other_parts = make_complete_bipartite_realization(CR3_POINTS, ({0, 1, 3}, {2, 4, 5}))
+    k6_1, k6_3 = complete_to_k6(cr1), complete_to_k6(cr3)
+    pairs = [
+        (cr3, cr3),
+        (cr1, cr9),
+        (cr3, k6_1),
+        (cr9, k6_3),
+        (k6_1, k6_3),
+        (k6_3, k6_3),
+        (other_parts, cr3),
+        (cr3, other_parts),
+    ]
+    found = []
+    for src, dst in pairs:
+        brute = [f.images for f in brute_force_injective_geo_homomorphisms(src, dst)]
+        assert brute == _definition_maps(src, dst)
+        found.append(len(brute))
+    # not vacuous: K_{3,3} into K_6, K_6 to K_6 and cr3 to other_parts all map
+    assert found == [12, 36, 0, 12, 0, 12, 0, 12]
+
+
+def test_brute_force_reads_no_symmetry_table(cr1, cr3, monkeypatch):
+    # the oracle must not lean on the code it checks
+    def forbidden(*args):
+        raise AssertionError("brute force read the symmetry code")
+
+    for name in ("automorphisms", "symmetry_table", "all_graph_automorphisms"):
+        monkeypatch.setattr(f"geohom.morphisms.{name}", forbidden)
+    monkeypatch.setattr("geohom.atlas.automorphisms", forbidden)
+    monkeypatch.setattr("geohom.atlas.symmetry_table", forbidden)
+    monkeypatch.setattr("geohom.graph_core.all_graph_automorphisms", forbidden)
+    _edge_preserving_maps.cache_clear()
+    try:
+        maps = brute_force_injective_geo_homomorphisms(cr1, cr3)
+        assert len(_edge_preserving_maps(cr1.graph, cr3.graph)) == 72
+    finally:
+        _edge_preserving_maps.cache_clear()
+    assert maps
 
 
 def test_witness_table_needs_one_layout(cr1, cr3):

@@ -5,11 +5,15 @@ import pytest
 
 from geohom import atlas
 from geohom.atlas import K6_CLASS_COUNT, K33_CLASS_COUNT, orbit_signature
+from geohom.exact_geometry import chirotope_code, crossing_mask
 from geohom.invariants import crossing_signature
+from geohom.morphisms import VertexMap, injective_geo_homomorphisms
 from geohom.poset import build_poset, poset_to_json
+from geohom.realization import CrossingStructure
 from geohom.verify import (
     VerificationArtifacts,
     check_atlas_counts,
+    check_cover_pattern,
     check_oracle_equivalence,
     check_parity_property,
     check_poset_structure,
@@ -191,3 +195,116 @@ def test_verify_computes_one_signature_per_class_orbit(monkeypatch):
     results, _ = run_verification()
     assert all(r.passed for r in results), [r.line() for r in results]
     assert len(calls) == K33_CLASS_COUNT + K6_CLASS_COUNT
+
+
+def test_parity_property_masks_each_distinct_chirotope_once(monkeypatch):
+    # every sample is still drawn and counted, but a repeated chirotope's
+    # mask is neither recomputed nor retested
+    codes = []
+    for pts in atlas.random_point_sets(20_250_810, 1000):
+        code = chirotope_code(pts)
+        if code is not None:
+            codes.append(code)
+            if len(codes) == 10_000:
+                break
+    calls = []
+
+    def counted(signs, n):
+        calls.append(n)
+        return crossing_mask(signs, n)
+
+    monkeypatch.setattr("geohom.verify.crossing_mask", counted)
+    result = check_parity_property(10_000)
+    assert result.passed, result.detail
+    assert result.detail.startswith("10000 point sets x 10 bipartitions")
+    assert len(calls) == len(set(codes)) < 10_000
+
+
+@pytest.fixture(scope="module")
+def session_artifacts(atlases_a, atlases_b, pinned_bundle):
+    pinned, poset, mismatches = pinned_bundle
+    return VerificationArtifacts(
+        atlases_a["k33"], atlases_b["k33"], atlases_a["k6"], atlases_b["k6"],
+        pinned=pinned,
+        poset=poset,
+        labeling={c.label: i for i, c in enumerate(pinned.classes)},
+        cover_mismatches=mismatches,
+    )
+
+
+def test_cover_pattern_runs_the_brute_force_on_the_refuted_cell(
+    session_artifacts, monkeypatch
+):
+    result = check_cover_pattern(session_artifacts)
+    assert result.passed, result.detail
+    row, col, _ = session_artifacts.cover_mismatches[0]
+    assert result.detail == (
+        f"55 of 56 cells match; the reference entry ({row}, {col}) is"
+        " refuted by exhaustive search over all 720 injective maps"
+        " (no homomorphism exists)"
+    )
+    # a search that finds a map for that cell makes the check fail
+    cells = []
+
+    def finds_identity(src, dst):
+        cells.append((src, dst))
+        return [VertexMap(6, 6, tuple(range(6)))]
+
+    monkeypatch.setattr(
+        "geohom.verify.brute_force_injective_geo_homomorphisms", finds_identity
+    )
+    result = check_cover_pattern(session_artifacts)
+    assert not result.passed
+    assert result.detail == (
+        f"the order misses the reference entry ({row}, {col}), but brute"
+        " force finds the injective map [0, 1, 2, 3, 4, 5]"
+    )
+    pinned = session_artifacts.pinned
+    assert cells == [(pinned.find(row).representative, pinned.find(col).representative)]
+
+
+def test_oracle_equivalence_fails_on_a_kernel_disagreement(
+    session_artifacts, monkeypatch
+):
+    monkeypatch.setattr(
+        "geohom.verify.rational_crossing_structure",
+        lambda r: CrossingStructure(frozenset()),
+    )
+    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    assert not result.passed
+    assert result.detail.startswith(
+        "crossing kernel disagrees with the rational predicate on k33 class 1.1"
+    )
+
+
+def test_oracle_equivalence_fails_on_a_dropped_witness(
+    session_artifacts, monkeypatch
+):
+    monkeypatch.setattr(
+        "geohom.verify.injective_geo_homomorphisms",
+        lambda src, dst: injective_geo_homomorphisms(src, dst)[1:],
+    )
+    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    assert not result.passed
+    assert result.detail == "witness table disagrees with brute force on (1.1, 1.1)"
+
+
+def test_oracle_equivalence_fails_on_a_flipped_order_cell(session_artifacts):
+    poset = session_artifacts.poset
+    leq = [row[:] for row in poset.leq]
+    i, j = poset.n - 1, 0  # 9.1 does not precede 1.1
+    assert not leq[i][j]
+    leq[i][j] = True
+    art = replace(session_artifacts, poset=replace(poset, leq=leq))
+    result = check_oracle_equivalence(art, quadruples=10)
+    assert not result.passed
+    assert result.detail == "order disagrees with brute force on (9.1, 1.1)"
+
+
+def test_oracle_equivalence_fails_on_a_segment_disagreement(
+    session_artifacts, monkeypatch
+):
+    monkeypatch.setattr("geohom.verify.segments_cross_rational", lambda s, t: True)
+    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    assert not result.passed
+    assert result.detail.startswith("predicates disagree on [(")
