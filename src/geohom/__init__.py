@@ -5,8 +5,6 @@ from .exact_geometry import (
     GeneralPositionViolation,
     Point,
     Segment,
-    in_general_position,
-    orient,
     proper_cross,
 )
 from .graph_core import (
@@ -20,26 +18,19 @@ from .graph_core import (
     two_colored_isomorphism,
 )
 from .realization import (
-    CrossingStructure,
     GeometricRealization,
     bipartitions_of_6,
-    complete_to_k6,
     crossing_structure,
     make_realization,
 )
 from .invariants import (
     InvariantSignature,
-    UnknownEdge,
-    cr_edge,
-    cr_total,
     edge_crossing_graph,
-    edge_thickness,
     line_crossing_graph,
     signature,
     uncrossed_subgraph,
 )
 from .morphisms import (
-    AbstractMismatch,
     NotApplicable,
     PropReport,
     VertexMap,
@@ -67,7 +58,6 @@ from .poset import (
     build_poset,
     check_graded,
     check_lattice,
-    extrema_and_thickness_check,
     minimal_upper_bounds,
 )
 

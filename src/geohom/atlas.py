@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations
 
+from . import reference_data as ref
 from .exact_geometry import (
     COORDINATE_LIMIT,
     chirotope_code,
@@ -142,9 +143,6 @@ class Atlas:
     target: str
     classes: list[RealizationClass]
     complete: bool = True
-
-    def by_label(self) -> dict[str, RealizationClass]:
-        return {c.label: c for c in self.classes if c.label is not None}
 
     def find(self, label: str) -> RealizationClass:
         for c in self.classes:
@@ -265,12 +263,17 @@ def symmetry_table(target: str) -> tuple[bytes, ...]:
     )
 
 
+@cache
+def mask_images(target: str, mask: int) -> tuple[int, ...]:
+    """The image of the mask under each automorphism of the target graph,
+    aligned with automorphisms(target); computed once per mask (cached)."""
+    bits = [d for d in range(mask.bit_length()) if mask >> d & 1]
+    return tuple(sum(1 << row[d] for d in bits) for row in symmetry_table(target))
+
+
 def mask_orbit(target: str, mask: int) -> frozenset[int]:
     """Every mask of a drawing isomorphic to one with this mask."""
-    bits = [d for d in range(mask.bit_length()) if mask >> d & 1]
-    return frozenset(
-        sum(1 << row[d] for d in bits) for row in symmetry_table(target)
-    )
+    return frozenset(mask_images(target, mask))
 
 
 @cache
@@ -296,7 +299,10 @@ def proven_classes(target: str) -> dict[int, int]:
     count = 0
     for mask in masks:
         if mask not in classes:
-            classes.update(dict.fromkeys(mask_orbit(target, mask), count))
+            # uncached: classes keeps the orbit, and nothing asks for the
+            # images of these masks again
+            orbit = frozenset(mask_images.__wrapped__(target, mask))
+            classes.update(dict.fromkeys(orbit, count))
             count += 1
     return classes
 
@@ -520,9 +526,6 @@ _EX_C4_K2_3K1 = canonical_label(
 )
 _EX_P6_3K1 = canonical_label(disjoint_union(path_graph(6), empty_graph(3)))
 
-K33_CLASS_COUNT = 19
-K6_CLASS_COUNT = 15
-
 
 def _contains_5_cycle(g: AbstractGraph) -> bool:
     return subgraph_embeds(cycle_graph(5), g)
@@ -624,9 +627,9 @@ def assign_paper_labels(atlas: Atlas) -> Atlas:
     classes = atlas.classes
     anchored: dict[int, str] = {}
     if atlas.target == "k33":
-        if len(classes) != K33_CLASS_COUNT:
+        if len(classes) != ref.K33_CLASS_COUNT:
             raise ValueError(
-                f"labeling needs the complete atlas of {K33_CLASS_COUNT}"
+                f"labeling needs the complete atlas of {ref.K33_CLASS_COUNT}"
                 f" classes, got {len(classes)}"
             )
         anchored = _anchor_k33(classes)

@@ -14,8 +14,8 @@ import json
 import sys
 from functools import cache
 
+from . import reference_data as ref
 from .atlas import (
-    K33_CLASS_COUNT,
     Atlas,
     BudgetExhausted,
     ConfigError,
@@ -80,9 +80,9 @@ def _pinned(args):
         atlas = load_atlas(args.atlas)
         if atlas.target != "k33":
             raise ParseError("label queries need a k33 atlas")
-        if len(atlas.classes) != K33_CLASS_COUNT:
+        if len(atlas.classes) != ref.K33_CLASS_COUNT:
             raise ParseError(
-                f"label queries need the complete k33 atlas of {K33_CLASS_COUNT}"
+                f"label queries need the complete k33 atlas of {ref.K33_CLASS_COUNT}"
                 f" classes, got {len(atlas.classes)}"
             )
     else:
@@ -100,7 +100,12 @@ def cmd_enumerate(args) -> int:
         partial = True
         print(f"warning: {exc}", file=sys.stderr)
     if not partial:
-        atlas = assign_paper_labels(atlas)
+        # a k33 atlas carries the labels that every label query pins
+        atlas = (
+            pin_reference_labels(atlas)[0]
+            if args.graph == "k33"
+            else assign_paper_labels(atlas)
+        )
     try:
         save_atlas(atlas, args.out)
     except OSError as exc:

@@ -69,15 +69,6 @@ class Segment:
             raise ValueError(f"degenerate segment at {self.a}")
 
 
-def orient(p: Point, q: Point, r: Point) -> int:
-    """Sign of the cross product (q - p) x (r - p).
-
-    +1 when p, q, r make a counterclockwise turn, -1 for clockwise,
-    0 when collinear.
-    """
-    return orientation_signs([(p.x, p.y), (q.x, q.y), (r.x, r.y)])[0]
-
-
 @cache
 def triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """Index triples i < j < k of n points, in combinations order."""
@@ -85,8 +76,10 @@ def triples(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def orientation_signs(pts) -> list[int]:
-    """The chirotope: orient() of every triple in triples(len(pts)), on
-    plain (x, y) int pairs.  A 0 marks a collinear or repeated point."""
+    """The chirotope: for every triple (i, j, k) in triples(len(pts)), on
+    plain (x, y) int pairs, the sign of the cross product (p_j - p_i) x
+    (p_k - p_i): +1 for a counterclockwise turn, -1 for clockwise, 0 for a
+    collinear or repeated point."""
     signs = []
     for i, j, k in triples(len(pts)):
         (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
@@ -333,8 +326,8 @@ def _side_tests(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
     index = {t: pos for pos, t in enumerate(triples(n))}
 
     def side(u, v, w):
-        # orient(u, v, w) is the sign of the sorted triple times the
-        # parity of the permutation that sorts (u, v, w)
+        # the orientation of (u, v, w) is the sign of the sorted triple times
+        # the parity of the permutation that sorts (u, v, w)
         return index[tuple(sorted((u, v, w)))], (-1) ** ((u > v) + (u > w) + (v > w))
 
     tests = []
@@ -370,11 +363,6 @@ def find_general_position_violation(
     return None
 
 
-def in_general_position(pts: list[Point]) -> bool:
-    """True iff all points are distinct and no three are collinear."""
-    return find_general_position_violation(pts) is None
-
-
 def proper_cross(s: Segment, t: Segment) -> bool:
     """True iff the open interiors of s and t intersect.
 
@@ -391,8 +379,8 @@ def segments_cross_rational(s: Segment, t: Segment) -> bool:
 
     Computes the intersection point of the two supporting lines and tests
     that it is strictly interior to both segments.  Deliberately
-    independent of orient() so the two predicates can cross-check each
-    other.
+    independent of orientation_signs so the two predicates can
+    cross-check each other.
     """
     if len({s.a, s.b, t.a, t.b}) < 4:
         return False

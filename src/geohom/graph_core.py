@@ -50,9 +50,6 @@ class AbstractGraph:
         """Edges in lexicographic (min, max) order; the fixed edge indexing."""
         return sorted(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def adjacency(self) -> list[set[int]]:
         adj = [set() for _ in range(self.n)]
         for u, v in self.edges:

@@ -33,10 +33,6 @@ from .realization import (
 )
 
 
-class UnknownEdge(KeyError):
-    """The queried edge is not an edge of the realization's graph."""
-
-
 @dataclass(frozen=True)
 class InvariantSignature:
     """Bundle of isomorphism-invariant values of one realization."""
@@ -75,19 +71,6 @@ def _per_edge_counts(graph: AbstractGraph, pairs) -> dict[Edge, int]:
     return counts
 
 
-def cr_total(r: GeometricRealization) -> int:
-    """Total number of edge crossings."""
-    return len(crossing_structure(r))
-
-
-def cr_edge(r: GeometricRealization, e: Edge) -> int:
-    """Number of edges crossing e."""
-    e = (min(e), max(e))
-    if e not in r.graph.edges:
-        raise UnknownEdge(e)
-    return sum(1 for pair in crossing_structure(r) if e in pair)
-
-
 def uncrossed_subgraph(r: GeometricRealization) -> AbstractGraph:
     """Subgraph on the same vertices keeping only crossing-free edges."""
     return _uncrossed_subgraph(r.graph, crossing_structure(r))
@@ -98,12 +81,8 @@ def _uncrossed_subgraph(graph: AbstractGraph, pairs) -> AbstractGraph:
     return AbstractGraph.from_edges(graph.n, (e for e, c in counts.items() if c == 0))
 
 
-def edge_index_map(r: GeometricRealization) -> dict[Edge, int]:
-    """Fixed vertex numbering of the edge-based graphs: lexicographic edges."""
-    return _edge_index(r.graph)
-
-
 def _edge_index(graph: AbstractGraph) -> dict[Edge, int]:
+    """Fixed vertex numbering of the edge-based graphs: lexicographic edges."""
     return {e: i for i, e in enumerate(graph.sorted_edges())}
 
 
@@ -133,11 +112,6 @@ def _line_crossing_graph(graph: AbstractGraph, pairs) -> TwoColoredGraph:
     index = _edge_index(graph)
     solid = [(index[e], index[f]) for e, f in pairs]
     return TwoColoredGraph.from_edges(len(index), solid, line_graph(graph).edges)
-
-
-def edge_thickness(r: GeometricRealization) -> int:
-    """Fewest classes in a partition of the edges into non-crossing sets."""
-    return chromatic_number(edge_crossing_graph(r))
 
 
 def crossing_signature(graph: AbstractGraph, pairs) -> InvariantSignature:

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .atlas import automorphisms, crossing_mask_of, shared_layout, symmetry_table
+from .atlas import automorphisms, crossing_mask_of, mask_images, shared_layout
 from .graph_core import (
     AbstractGraph,
     all_graph_automorphisms,
-    graph_isomorphism,
     line_graph,
     subgraph_embeds,
 )
@@ -42,10 +41,6 @@ from .realization import (
     crossing_structure,
     ordered_pair,
 )
-
-
-class AbstractMismatch(ValueError):
-    """The two realizations do not share an underlying abstract graph."""
 
 
 class NotApplicable(ValueError):
@@ -66,13 +61,6 @@ class VertexMap:
         if any(not 0 <= w < self.target_n for w in self.images):
             raise ValueError("image out of range")
 
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == self.source_n
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
     def map_edge(self, e: Edge) -> Edge | None:
         """Image of an edge as a normalized pair, or None if it collapses."""
         a, b = self.images[e[0]], self.images[e[1]]
@@ -91,7 +79,7 @@ def is_geo_homomorphism(
         image = f.map_edge(e)
         if image is None or image not in dst.graph.edges:
             return False
-    dst_crossings = crossing_structure(dst).pairs
+    dst_crossings = crossing_structure(dst)
     for e, g in crossing_structure(src):
         ie, ig = f.map_edge(e), f.map_edge(g)
         if ie is None or ig is None or ie == ig:
@@ -105,15 +93,15 @@ def injective_geo_homomorphisms(
     src: GeometricRealization, dst: GeometricRealization
 ) -> list[VertexMap]:
     """Every vertex-injective geometric homomorphism src -> dst, sorted by
-    images: the automorphisms whose mask-bit row carries src's crossing
-    mask into dst's.  Both drawings must be on one fixed layout."""
+    images: the automorphisms that carry src's crossing mask into dst's.
+    Both drawings must be on one fixed layout."""
     target = shared_layout(src, dst)
-    x_src, missing = crossing_mask_of(src), ~crossing_mask_of(dst)
-    bits = [d for d in range(x_src.bit_length()) if x_src >> d & 1]
+    images = mask_images(target, crossing_mask_of(src))
+    missing = ~crossing_mask_of(dst)
     return [
         VertexMap(6, 6, p)
-        for p, row in zip(automorphisms(target), symmetry_table(target))
-        if not sum(1 << row[d] for d in bits) & missing
+        for p, image in zip(automorphisms(target), images)
+        if not image & missing
     ]
 
 
@@ -149,8 +137,8 @@ def brute_force_injective_geo_homomorphisms(
     independent of injective_geo_homomorphisms so the two can be compared.
     """
     n_src, n_dst = src.graph.n, dst.graph.n
-    x_src = sorted(crossing_structure(src).pairs)
-    x_dst = crossing_structure(dst).pairs
+    x_src = sorted(crossing_structure(src))
+    x_dst = crossing_structure(dst)
     out = []
     for perm in _edge_preserving_maps(src.graph, dst.graph):
         for e, f in x_src:
@@ -198,25 +186,12 @@ def line_graph_automorphisms(g: AbstractGraph) -> list[list[int]]:
     return all_graph_automorphisms(line_graph(g))
 
 
-def _relabel_onto(
-    src: GeometricRealization, target_graph: AbstractGraph
-) -> GeometricRealization:
-    """A geo-isomorphic copy of src whose abstract graph is target_graph."""
-    if src.graph == target_graph:
-        return src
-    iso = graph_isomorphism(src.graph, target_graph)
-    if iso is None:
-        raise AbstractMismatch("underlying abstract graphs are not isomorphic")
-    points = [None] * src.graph.n
-    for v in range(src.graph.n):
-        points[iso[v]] = src.points[v]
-    return GeometricRealization(target_graph, tuple(points), None)
-
-
 def prop_conditions(
     src: GeometricRealization, dst: GeometricRealization
 ) -> PropReport:
-    """Evaluate the three necessary conditions for src preceding dst.
+    """Evaluate the three necessary conditions for src preceding dst, two
+    drawings on one fixed layout (ValueError otherwise, as for
+    injective_geo_homomorphisms).
 
     cond1: dst's uncrossed subgraph embeds into src's uncrossed subgraph.
     cond2: the crossing graph of src embeds injectively into dst's.
@@ -225,7 +200,7 @@ def prop_conditions(
            line/crossing graphs whose dashed restriction is a line-graph
            automorphism).
     """
-    src = _relabel_onto(src, dst.graph)
+    shared_layout(src, dst)
     cond1 = subgraph_embeds(uncrossed_subgraph(dst), uncrossed_subgraph(src))
     ex_src = edge_crossing_graph(src)
     ex_dst = edge_crossing_graph(dst)

@@ -6,8 +6,8 @@ j.  Between drawings of one graph on six vertices such a map is an
 automorphism of the graph, so the order is read off the crossing masks
 and their orbits under the atlas symmetry tables.  On isomorphism
 classes it is a partial order; the module computes it, takes its
-transitive reduction, and checks gradedness, lattice failure, and
-extremal elements.
+transitive reduction, and checks gradedness, lattice failure, and the
+unique maximum.
 """
 
 from __future__ import annotations
@@ -186,57 +186,6 @@ def unique_maximum(p: HomPoset) -> int | None:
         if all(p.leq[i][j] for i in range(p.n))
     ]
     return tops[0] if len(tops) == 1 else None
-
-
-@dataclass
-class ExtremaReport:
-    maximum: int | None
-    maximum_label: str | None
-    thickness2_below_71: bool
-    thickness2_failures: list[str]
-    blocked_above_71: bool
-    blocked_above_71_failures: list[str]
-    blocked_above_72: bool
-    blocked_above_72_failures: list[str]
-
-
-def extrema_and_thickness_check(
-    p: HomPoset, label_to_index: dict[str, int]
-) -> ExtremaReport:
-    """Unique maximum plus the thickness-linked precedence facts.
-
-    Every class of thickness <= 2 must precede 7.1, the classes labeled
-    5.6/5.7/5.8 must not precede 7.1, and 5.1/5.2/5.3 must not precede
-    7.2.  Labels are supplied explicitly so a pattern-resolved labeling
-    can be used.
-    """
-    top = unique_maximum(p)
-    i71 = label_to_index["7.1"]
-    i72 = label_to_index["7.2"]
-    thickness_failures = []
-    for idx, cls in enumerate(p.classes):
-        if cls.signature.thickness <= 2 and not p.leq[idx][i71]:
-            thickness_failures.append(p.label(idx))
-    failures_71 = [
-        lbl
-        for lbl in ("5.6", "5.7", "5.8")
-        if p.leq[label_to_index[lbl]][i71]
-    ]
-    failures_72 = [
-        lbl
-        for lbl in ("5.1", "5.2", "5.3")
-        if p.leq[label_to_index[lbl]][i72]
-    ]
-    return ExtremaReport(
-        maximum=top,
-        maximum_label=p.label(top) if top is not None else None,
-        thickness2_below_71=not thickness_failures,
-        thickness2_failures=thickness_failures,
-        blocked_above_71=not failures_71,
-        blocked_above_71_failures=failures_71,
-        blocked_above_72=not failures_72,
-        blocked_above_72_failures=failures_72,
-    )
 
 
 # ---------------------------------------------------------------------------

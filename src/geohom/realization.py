@@ -34,35 +34,6 @@ def ordered_pair(e: Edge, f: Edge) -> CrossingPair:
 
 
 @dataclass(frozen=True)
-class CrossingStructure:
-    """Unordered pairs of vertex-disjoint edges that properly cross."""
-
-    pairs: frozenset[CrossingPair]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        e, f = pair
-        e = (min(e), max(e))
-        f = (min(f), max(f))
-        return ordered_pair(e, f) in self.pairs
-
-    def edges_crossing(self, e: Edge) -> list[Edge]:
-        e = (min(e), max(e))
-        out = []
-        for a, b in self.pairs:
-            if a == e:
-                out.append(b)
-            elif b == e:
-                out.append(a)
-        return sorted(out)
-
-
-@dataclass(frozen=True)
 class GeometricRealization:
     """Graph drawn on points in general position; vertex i sits at points[i]."""
 
@@ -75,15 +46,15 @@ class GeometricRealization:
         return Segment(self.points[u], self.points[v])
 
     @cached_property
-    def crossings(self) -> CrossingStructure:
+    def crossings(self) -> frozenset[CrossingPair]:
         """The crossing structure, computed once per realization."""
         n, edges = self.graph.n, self.graph.edges
         mask = crossing_mask(orientation_signs([(p.x, p.y) for p in self.points]), n)
-        return CrossingStructure(frozenset(
+        return frozenset(
             (e, f)
             for bit, (e, f) in enumerate(disjoint_edge_pairs(n))
             if mask >> bit & 1 and e in edges and f in edges
-        ))
+        )
 
 
 def make_realization(
@@ -118,28 +89,21 @@ def make_realization(
     return GeometricRealization(graph, pts, norm_parts)
 
 
-def crossing_structure(r: GeometricRealization) -> CrossingStructure:
-    """All vertex-disjoint edge pairs whose segments properly cross."""
+def crossing_structure(r: GeometricRealization) -> frozenset[CrossingPair]:
+    """All vertex-disjoint edge pairs whose segments properly cross, each
+    as (e, f) with e < f."""
     return r.crossings
 
 
-def rational_crossing_structure(r: GeometricRealization) -> CrossingStructure:
+def rational_crossing_structure(r: GeometricRealization) -> frozenset[CrossingPair]:
     """The same pairs decided by segments_cross_rational: an oracle for
     crossing_structure that shares none of its arithmetic."""
-    return CrossingStructure(frozenset(
+    return frozenset(
         (e, f)
         for e, f in combinations(r.graph.sorted_edges(), 2)
         if not set(e) & set(f)
         and segments_cross_rational(r.segment(e), r.segment(f))
-    ))
-
-
-def complete_to_k6(r: GeometricRealization) -> GeometricRealization:
-    """Add every missing edge of a 6-vertex realization (same points)."""
-    if r.graph.n != 6:
-        raise ValueError("completion to the complete graph needs 6 vertices")
-    full = AbstractGraph.from_edges(6, combinations(range(6), 2))
-    return GeometricRealization(full, r.points, None)
+    )
 
 
 def bipartitions_of_6() -> list[tuple[frozenset[int], frozenset[int]]]:

@@ -65,7 +65,6 @@ from .poset import (
     build_poset,
     check_graded,
     check_lattice,
-    extrema_and_thickness_check,
     minimal_upper_bounds,
     poset_from_leq,
     unique_maximum,
@@ -689,29 +688,34 @@ def _validate_poset_file(path, art: VerificationArtifacts) -> list[str]:
 
 
 def check_thickness_claims(art: VerificationArtifacts) -> CheckResult:
-    report = extrema_and_thickness_check(art.poset, art.labeling)
+    """The unique maximum is 9.1, every class of thickness <= 2 precedes
+    7.1, and the classes of BLOCKED_BELOW_71/_72 do not precede 7.1/7.2."""
+    poset, labeling = art.poset, art.labeling
     problems = []
-    if report.maximum_label != "9.1":
-        problems.append(f"maximum is {report.maximum_label}")
-    if not report.thickness2_below_71:
-        problems.append(
-            f"thickness-2 classes not below 7.1: {report.thickness2_failures}"
-        )
-    if not report.blocked_above_71:
-        problems.append(
-            f"classes unexpectedly below 7.1: {report.blocked_above_71_failures}"
-        )
-    if not report.blocked_above_72:
-        problems.append(
-            f"classes unexpectedly below 7.2: {report.blocked_above_72_failures}"
-        )
+    top = unique_maximum(poset)
+    top_label = poset.label(top) if top is not None else None
+    if top_label != "9.1":
+        problems.append(f"maximum is {top_label}")
+    i71 = labeling["7.1"]
+    thin = [
+        poset.label(i)
+        for i, cls in enumerate(poset.classes)
+        if cls.signature.thickness <= 2 and not poset.leq[i][i71]
+    ]
+    if thin:
+        problems.append(f"thickness-2 classes not below 7.1: {thin}")
+    for bound, blocked in (("7.1", ref.BLOCKED_BELOW_71), ("7.2", ref.BLOCKED_BELOW_72)):
+        below = [l for l in blocked if poset.leq[labeling[l]][labeling[bound]]]
+        if below:
+            problems.append(f"classes unexpectedly below {bound}: {below}")
     return CheckResult(
         "thickness-claims",
         not problems,
         "; ".join(problems)
         if problems
-        else "every thickness<=2 class precedes 7.1; 5.6/5.7/5.8 do not"
-        " precede 7.1; 5.1/5.2/5.3 do not precede 7.2",
+        else "every thickness<=2 class precedes 7.1;"
+        f" {'/'.join(ref.BLOCKED_BELOW_71)} do not precede 7.1;"
+        f" {'/'.join(ref.BLOCKED_BELOW_72)} do not precede 7.2",
     )
 
 

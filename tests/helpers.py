@@ -5,7 +5,7 @@ to validate the witnesses read off the symmetry table)."""
 from __future__ import annotations
 
 from geohom.graph_core import AbstractGraph, line_graph
-from geohom.invariants import edge_crossing_graph, edge_index_map, uncrossed_subgraph
+from geohom.invariants import edge_crossing_graph, uncrossed_subgraph
 from geohom.morphisms import VertexMap
 from geohom.realization import GeometricRealization, make_realization
 
@@ -22,8 +22,8 @@ def induced_edge_map(
     src: GeometricRealization, dst: GeometricRealization, f: VertexMap
 ) -> dict[int, int]:
     """Action of f on edge indices (source edge order to target edge order)."""
-    src_index = edge_index_map(src)
-    dst_index = edge_index_map(dst)
+    src_index = {e: i for i, e in enumerate(src.graph.sorted_edges())}
+    dst_index = {e: i for i, e in enumerate(dst.graph.sorted_edges())}
     out = {}
     for e, i in src_index.items():
         image = f.map_edge(e)

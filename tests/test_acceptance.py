@@ -20,7 +20,7 @@ from geohom.atlas import crossing_histogram
 from geohom.exact_geometry import (
     Point,
     Segment,
-    in_general_position,
+    find_general_position_violation,
     proper_cross,
     segments_cross_rational,
 )
@@ -43,7 +43,6 @@ from geohom.morphisms import (
 from geohom.poset import (
     check_graded,
     check_lattice,
-    extrema_and_thickness_check,
     minimal_upper_bounds,
     unique_maximum,
     validate_poset,
@@ -92,7 +91,7 @@ def test_criterion_3_parity_property():
             Point(rng.randrange(-1000, 1001), rng.randrange(-1000, 1001))
             for _ in range(6)
         ]
-        if not in_general_position(pts):
+        if find_general_position_violation(pts) is not None:
             continue
         for parts in parts_list:
             r = make_complete_bipartite_realization(pts, parts)
@@ -264,11 +263,17 @@ def test_criterion_8_poset_structure(hom_poset, label_index):
 
 
 def test_criterion_9_thickness_claims(hom_poset, label_index):
-    result = extrema_and_thickness_check(hom_poset, label_index)
-    assert result.maximum_label == "9.1"
-    assert result.thickness2_below_71, result.thickness2_failures
-    assert result.blocked_above_71, result.blocked_above_71_failures
-    assert result.blocked_above_72, result.blocked_above_72_failures
+    assert hom_poset.label(unique_maximum(hom_poset)) == "9.1"
+    leq = hom_poset.leq
+    i71, i72 = label_index["7.1"], label_index["7.2"]
+    thin = [
+        i for i, c in enumerate(hom_poset.classes) if c.signature.thickness <= 2
+    ]
+    assert thin and all(leq[i][i71] for i in thin)
+    assert ref.BLOCKED_BELOW_71 == ("5.6", "5.7", "5.8")
+    assert ref.BLOCKED_BELOW_72 == ("5.1", "5.2", "5.3")
+    assert not any(leq[label_index[l]][i71] for l in ref.BLOCKED_BELOW_71)
+    assert not any(leq[label_index[l]][i72] for l in ref.BLOCKED_BELOW_72)
     report(
         "criterion-9 thickness claims",
         "thickness<=2 classes all precede 7.1; 5.6/5.7/5.8 never precede"

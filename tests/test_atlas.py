@@ -37,7 +37,7 @@ from geohom.exact_geometry import (
     chirotope_signs,
     chirotopes_of_six,
     crossing_mask,
-    in_general_position,
+    find_general_position_violation,
 )
 from geohom.graph_core import ParseError
 from geohom.invariants import signature, signature_to_dict
@@ -132,7 +132,7 @@ def test_sampled_realizations_land_in_one_class(quick_atlas):
             (rng.randrange(-1000, 1001), rng.randrange(-1000, 1001))
             for _ in range(6)
         ]
-        if not in_general_position([Point(*p) for p in pts]):
+        if find_general_position_violation([Point(*p) for p in pts]) is not None:
             continue
         r = make_complete_bipartite_realization(pts, ({0, 1, 2}, {3, 4, 5}))
         homes = [
@@ -164,7 +164,7 @@ def test_k33_discovery_counts_match_a_per_sample_count():
     for pts in _point_sets(cfg):
         if samples == cfg.max_samples:
             break
-        if not in_general_position([Point(*p) for p in pts]):
+        if find_general_position_violation([Point(*p) for p in pts]) is not None:
             continue
         samples += 1
         for first, second in bipartitions_of_6():

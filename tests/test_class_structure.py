@@ -1,9 +1,9 @@
 """Structure checks that tie the labeled classes to invariant claims."""
 
-from geohom.graph_core import two_colored_isomorphism
+from geohom.graph_core import complete_graph, two_colored_isomorphism
 from geohom.invariants import (
-    cr_edge,
     line_crossing_graph,
+    signature,
     uncrossed_subgraph,
 )
 from geohom.morphisms import (
@@ -12,7 +12,7 @@ from geohom.morphisms import (
     prop_conditions,
     VertexMap,
 )
-from geohom.realization import complete_to_k6
+from geohom.realization import make_realization
 
 from brute_force import geo_isomorphic
 from helpers import (
@@ -43,9 +43,7 @@ def test_maximal_class_edge_crossing_profile(pinned_atlas):
     # disjoint uncrossed edges (hull edges of the convex drawing), so no
     # class has an empty uncrossed subgraph
     top = pinned_atlas.find("9.1").representative
-    assert sorted(cr_edge(top, e) for e in top.graph.edges) == [
-        0, 0, 2, 2, 2, 2, 2, 4, 4,
-    ]
+    assert signature(top).per_edge_cr_multiset == (0, 0, 2, 2, 2, 2, 2, 4, 4)
     assert uncrossed_subgraph(top).m == 2
     for cls in pinned_atlas.classes:
         assert uncrossed_subgraph(cls.representative).m >= 2
@@ -53,7 +51,7 @@ def test_maximal_class_edge_crossing_profile(pinned_atlas):
 
 def test_k33_completions_land_in_k6_atlas(pinned_atlas, atlas_k6_a):
     for cls in pinned_atlas.classes:
-        completed = complete_to_k6(cls.representative)
+        completed = make_realization(complete_graph(6), cls.representative.points)
         homes = [
             other.label
             for other in atlas_k6_a.classes

@@ -39,6 +39,18 @@ def test_enumerate_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [3, 7, 10, 101])
+def test_enumerate_writes_the_pinned_labels(seed, tmp_path):
+    # a k33 atlas file carries the labels every label query pins, so
+    # pinning it again reproduces the file byte for byte
+    written, exported = tmp_path / "atlas.json", tmp_path / "pinned.json"
+    assert run(["enumerate", "--seed", str(seed), "--out", str(written)]) == 0
+    assert run([
+        "export", "--what", "atlas", "--atlas", str(written), "--out", str(exported)
+    ]) == 0
+    assert exported.read_bytes() == written.read_bytes()
+
+
 def test_enumerate_k6(tmp_path, capsys):
     out = tmp_path / "k6.json"
     rc = run(["enumerate", "--graph", "k6", "--seed", "7", *FAST, "--out", str(out)])

@@ -9,8 +9,7 @@ from geohom.exact_geometry import (
     Point,
     Segment,
     find_general_position_violation,
-    in_general_position,
-    orient,
+    orientation_signs,
     proper_cross,
     segments_cross_rational,
 )
@@ -21,24 +20,25 @@ def P(x, y):
 
 
 def test_orient_counterclockwise():
-    assert orient(P(0, 0), P(1, 0), P(0, 1)) == 1
+    assert orientation_signs([(0, 0), (1, 0), (0, 1)]) == [1]
 
 
 def test_orient_collinear():
-    assert orient(P(0, 0), P(1, 1), P(2, 2)) == 0
+    assert orientation_signs([(0, 0), (1, 1), (2, 2)]) == [0]
 
 
 def test_orient_clockwise():
-    assert orient(P(0, 0), P(0, 1), P(1, 0)) == -1
+    assert orientation_signs([(0, 0), (0, 1), (1, 0)]) == [-1]
 
 
 def test_orient_antisymmetry_random():
     rng = random.Random(99)
     for _ in range(300):
         p, q, r = (
-            P(rng.randrange(-50, 51), rng.randrange(-50, 51)) for _ in range(3)
+            (rng.randrange(-50, 51), rng.randrange(-50, 51)) for _ in range(3)
         )
-        assert orient(p, q, r) == -orient(p, r, q) == -orient(q, p, r)
+        [pqr] = orientation_signs([p, q, r])
+        assert pqr == -orientation_signs([p, r, q])[0] == -orientation_signs([q, p, r])[0]
 
 
 def test_point_coordinate_bound():
@@ -58,18 +58,16 @@ def test_general_position_all_triples():
     # oracle: every triple individually non-collinear
     pts = [P(0, 0), P(1, 0), P(0, 1), P(2, 3)]
     for i, j, k in combinations(range(4), 3):
-        assert orient(pts[i], pts[j], pts[k]) != 0
-    assert in_general_position(pts)
+        assert orientation_signs([(p.x, p.y) for p in (pts[i], pts[j], pts[k])]) != [0]
+    assert find_general_position_violation(pts) is None
 
 
 def test_general_position_collinear_triple():
-    assert not in_general_position([P(0, 0), P(1, 1), P(2, 2)])
     kind, indices = find_general_position_violation([P(0, 0), P(1, 1), P(2, 2)])
     assert kind == "collinear" and indices == (0, 1, 2)
 
 
 def test_general_position_duplicate():
-    assert not in_general_position([P(0, 0), P(0, 0), P(1, 2)])
     kind, indices = find_general_position_violation([P(0, 0), P(0, 0), P(1, 2)])
     assert kind == "duplicate" and indices == (0, 1)
 

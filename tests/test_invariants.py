@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from geohom.exact_geometry import Point, in_general_position
+from geohom.exact_geometry import Point, find_general_position_violation
 from geohom.graph_core import (
     AbstractGraph,
     canonical_label,
@@ -13,12 +13,8 @@ from geohom.graph_core import (
 )
 from geohom.invariants import (
     InvariantSignature,
-    UnknownEdge,
-    cr_edge,
-    cr_total,
     edge_crossing_graph,
     edge_crossing_graph_to_dot,
-    edge_thickness,
     line_crossing_graph,
     line_crossing_graph_to_dot,
     signature,
@@ -53,7 +49,7 @@ def random_k33(rng, spread=400):
             (rng.randrange(-spread, spread + 1), rng.randrange(-spread, spread + 1))
             for _ in range(6)
         ]
-        if in_general_position([Point(*p) for p in pts]):
+        if find_general_position_violation([Point(*p) for p in pts]) is None:
             return make_complete_bipartite_realization(pts, ({0, 1, 2}, {3, 4, 5}))
 
 
@@ -86,36 +82,33 @@ def max_clique(g):
     best = 1 if g.n else 0
     for size in range(2, g.n + 1):
         for subset in combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(pair in g.edges for pair in combinations(subset, 2)):
                 best = size
                 break
     return best
 
 
 def test_cr_total():
-    assert cr_total(planar_triangle()) == 0
-    assert cr_total(hexagon_realization()) == 3
+    assert signature(planar_triangle()).cr == 0
+    assert signature(hexagon_realization()).cr == 3
 
 
 def test_cr_edge_counts():
     r = hexagon_realization()
-    # the three pairwise-crossing diagonals
-    for e in ((0, 4), (1, 5), (2, 3)):
-        assert cr_edge(r, e) == 2
-    for e in ((0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)):
-        assert cr_edge(r, e) == 0
-
-
-def test_cr_edge_unknown_edge():
-    with pytest.raises(UnknownEdge):
-        cr_edge(planar_triangle(), (0, 5))
+    # the three pairwise-crossing diagonals cross each other, nothing else
+    diagonals = ((0, 4), (1, 5), (2, 3))
+    assert crossing_structure(r) == set(combinations(diagonals, 2))
+    assert signature(r).per_edge_cr_multiset == (0,) * 6 + (2,) * 3
 
 
 def test_cr_edge_double_counting():
     rng = random.Random(3)
     for _ in range(15):
         r = random_k33(rng)
-        assert sum(cr_edge(r, e) for e in r.graph.edges) == 2 * cr_total(r)
+        sig = signature(r)
+        assert sig.cr == len(crossing_structure(r))
+        assert len(sig.per_edge_cr_multiset) == r.graph.m
+        assert sum(sig.per_edge_cr_multiset) == 2 * sig.cr
 
 
 def test_uncrossed_subgraph():
@@ -158,9 +151,9 @@ def test_line_crossing_graph():
 
 
 def test_edge_thickness():
-    assert edge_thickness(planar_triangle()) == 1
+    assert signature(planar_triangle()).thickness == 1
     r = hexagon_realization()
-    assert edge_thickness(r) == 3
+    assert signature(r).thickness == 3
     assert brute_chromatic(edge_crossing_graph(r)) == 3
 
 
@@ -169,7 +162,7 @@ def test_thickness_at_least_clique():
     for _ in range(10):
         r = random_k33(rng)
         ex = edge_crossing_graph(r)
-        assert edge_thickness(r) >= max_clique(ex)
+        assert signature(r).thickness >= max_clique(ex)
 
 
 def test_signature_fields():

@@ -4,9 +4,9 @@ orientation table, the seeded point generator against randrange, the
 atlas masks against the realization's crossing structure, the symmetry
 tables against brute-force isomorphism and homomorphism, the per-orbit
 signatures against the signature of each drawing, canonical labels
-against the isomorphism search, the pinned order against a fresh build,
-and the packed label scorer against one that scores every labeling cell
-by cell."""
+(plain and two-colored) against the isomorphism searches, the pinned
+order against a fresh build, and the packed label scorer against one
+that scores every labeling cell by cell."""
 
 from __future__ import annotations
 
@@ -38,16 +38,19 @@ from geohom.exact_geometry import (
     chirotope_signs,
     chirotopes_of_six,
     crossing_mask,
-    in_general_position,
+    find_general_position_violation,
     orientation_signs,
 )
 from geohom.graph_core import (
     AbstractGraph,
+    TwoColoredGraph,
     all_graph_automorphisms,
     canonical_label,
+    canonical_two_colored_label,
     complete_bipartite_graph,
     complete_graph,
     graph_isomorphism,
+    two_colored_isomorphism,
 )
 from geohom.invariants import signature
 from geohom.morphisms import (
@@ -91,7 +94,7 @@ PART_RESPECTING_MAPS = part_respecting_maps()
 
 
 def _general_position(pts) -> bool:
-    return in_general_position([Point(*p) for p in pts])
+    return find_general_position_violation([Point(*p) for p in pts]) is None
 
 
 drawing_points = six_points.filter(_general_position)
@@ -209,7 +212,7 @@ def test_atlas_masks_match_crossing_structure(pts):
             if across(e) and across(f)
         }
         k33 = _materialize_k33(pts, first, second)
-        assert crossing_structure(k33).pairs == expected
+        assert crossing_structure(k33) == expected
         assert crossing_mask_of(k33) == sum(1 << _MASK_BIT["k33"][p] for p in expected)
     # k33_masks reads the same ten masks off the K_6 mask
     assert k33_masks(crossing_mask_of(k6)) == [
@@ -254,6 +257,33 @@ def graph_pairs(draw):
     return AbstractGraph.from_edges(n, edges), AbstractGraph.from_edges(n, moved)
 
 
+@st.composite
+def two_colored_pairs(draw):
+    """A two-colored graph and a relabeled copy of it, the copy often
+    recolored by swapping the colors of one solid and one dashed edge,
+    which may or may not change the isomorphism class."""
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    colors = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    solid = {e for e, is_solid in zip(edges, colors) if is_solid}
+    dashed = set(edges) - solid
+    other_solid, other_dashed = solid, dashed
+    if solid and dashed and draw(st.booleans()):
+        s = draw(st.sampled_from(sorted(solid)))
+        d = draw(st.sampled_from(sorted(dashed)))
+        other_solid, other_dashed = solid - {s} | {d}, dashed - {d} | {s}
+    perm = draw(st.permutations(range(n)))
+
+    def moved(edge_set):
+        return [(perm[u], perm[v]) for u, v in edge_set]
+
+    return (
+        TwoColoredGraph.from_edges(n, solid, dashed),
+        TwoColoredGraph.from_edges(n, moved(other_solid), moved(other_dashed)),
+    )
+
+
 def test_orbit_signature_is_the_representatives(atlases_a, atlases_b):
     # the stored signature of every session class is its representative's
     # own (the definition), read off the orbit of the class's proven id
@@ -292,6 +322,15 @@ def test_canonical_label_agrees_with_isomorphism(graphs):
     g, h = graphs
     same_label = canonical_label(g) == canonical_label(h)
     assert same_label == (graph_isomorphism(g, h) is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_colored_pairs())
+def test_canonical_two_colored_label_agrees_with_isomorphism(graphs):
+    # the lex_class field of the signature rests on this label
+    g, h = graphs
+    same_label = canonical_two_colored_label(g) == canonical_two_colored_label(h)
+    assert same_label == (two_colored_isomorphism(g, h) is not None)
 
 
 @pytest.mark.parametrize("target", ["k33", "k6"])
@@ -348,7 +387,7 @@ def test_homomorphisms_compose(pts_a, pts_b, pts_c, data):
     assume(first and second)
     f = data.draw(st.sampled_from(first))
     g = data.draw(st.sampled_from(second))
-    composite = VertexMap(6, 6, tuple(g(f(v)) for v in range(6)))
+    composite = VertexMap(6, 6, tuple(g.images[f.images[v]] for v in range(6)))
     assert is_geo_homomorphism(a, c, composite)
 
 

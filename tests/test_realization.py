@@ -6,13 +6,17 @@ import pytest
 from geohom.exact_geometry import (
     GeneralPositionViolation,
     Point,
-    in_general_position,
+    find_general_position_violation,
     segments_cross_rational,
 )
-from geohom.graph_core import AbstractGraph, ParseError, complete_bipartite_graph
+from geohom.graph_core import (
+    AbstractGraph,
+    ParseError,
+    complete_bipartite_graph,
+    complete_graph,
+)
 from geohom.realization import (
     bipartitions_of_6,
-    complete_to_k6,
     crossing_structure,
     make_realization,
     realization_from_json,
@@ -83,14 +87,12 @@ def test_hexagon_crossing_set():
         HEXAGON_ALTERNATING, ({0, 1, 2}, {3, 4, 5})
     )
     cs = crossing_structure(r)
-    assert rational_crossings(r) == set(cs.pairs)
-    assert sorted(cs.pairs) == [
+    assert rational_crossings(r) == cs
+    assert sorted(cs) == [
         ((0, 4), (1, 5)),
         ((0, 4), (2, 3)),
         ((1, 5), (2, 3)),
     ]
-    assert ((1, 5), (0, 4)) in cs
-    assert cs.edges_crossing((0, 4)) == [(1, 5), (2, 3)]
 
 
 def test_crossing_pairs_are_vertex_disjoint_and_complete():
@@ -100,13 +102,13 @@ def test_crossing_pairs_are_vertex_disjoint_and_complete():
             (rng.randrange(-200, 201), rng.randrange(-200, 201))
             for _ in range(6)
         ]
-        if not in_general_position([Point(*p) for p in pts]):
+        if find_general_position_violation([Point(*p) for p in pts]) is not None:
             continue
         r = make_complete_bipartite_realization(pts, ({0, 1, 2}, {3, 4, 5}))
         cs = crossing_structure(r)
         for e, f in cs:
             assert not set(e) & set(f)
-        assert set(cs.pairs) == rational_crossings(r)
+        assert cs == rational_crossings(r)
 
 
 def test_k33_crossing_count_is_odd():
@@ -118,7 +120,7 @@ def test_k33_crossing_count_is_odd():
             (rng.randrange(-500, 501), rng.randrange(-500, 501))
             for _ in range(6)
         ]
-        if not in_general_position([Point(*p) for p in pts]):
+        if find_general_position_violation([Point(*p) for p in pts]) is not None:
             continue
         for parts in parts_list:
             r = make_complete_bipartite_realization(pts, parts)
@@ -130,13 +132,12 @@ def test_complete_to_k6_extends_crossings():
     r = make_complete_bipartite_realization(
         HEXAGON_ALTERNATING, ({0, 1, 2}, {3, 4, 5})
     )
-    k6 = complete_to_k6(r)
+    k6 = make_realization(complete_graph(6), r.points)
     assert k6.graph.m == 15
-    assert k6.points == r.points
-    assert set(crossing_structure(r).pairs) <= set(crossing_structure(k6).pairs)
+    assert crossing_structure(r) <= crossing_structure(k6)
     # convex position: every 4-point subset contributes one crossing
     assert len(crossing_structure(k6)) == 15
-    assert rational_crossings(k6) == set(crossing_structure(k6).pairs)
+    assert rational_crossings(k6) == crossing_structure(k6)
 
 
 def test_complete_to_k6_restriction_property():
@@ -147,24 +148,18 @@ def test_complete_to_k6_restriction_property():
             (rng.randrange(-300, 301), rng.randrange(-300, 301))
             for _ in range(6)
         ]
-        if not in_general_position([Point(*p) for p in pts]):
+        if find_general_position_violation([Point(*p) for p in pts]) is not None:
             continue
         r = make_complete_bipartite_realization(pts, ({0, 1, 2}, {3, 4, 5}))
-        k6 = complete_to_k6(r)
+        k6 = make_realization(complete_graph(6), r.points)
         edges = r.graph.edges
         restricted = {
             pair
-            for pair in crossing_structure(k6).pairs
+            for pair in crossing_structure(k6)
             if pair[0] in edges and pair[1] in edges
         }
-        assert restricted == set(crossing_structure(r).pairs)
+        assert restricted == crossing_structure(r)
         checked += 1
-
-
-def test_complete_to_k6_needs_six_vertices():
-    r = make_realization(TRIANGLE, [(0, 0), (4, 0), (0, 4)])
-    with pytest.raises(ValueError):
-        complete_to_k6(r)
 
 
 def test_bipartitions_of_6():

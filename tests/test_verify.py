@@ -4,12 +4,12 @@ from dataclasses import replace
 import pytest
 
 from geohom import atlas
-from geohom.atlas import K6_CLASS_COUNT, K33_CLASS_COUNT, orbit_signature
+from geohom import reference_data as ref
+from geohom.atlas import mask_images, orbit_signature
 from geohom.exact_geometry import chirotope_code, crossing_mask
 from geohom.invariants import crossing_signature
 from geohom.morphisms import VertexMap, injective_geo_homomorphisms
 from geohom.poset import build_poset, poset_to_json
-from geohom.realization import CrossingStructure
 from geohom.verify import (
     VerificationArtifacts,
     check_atlas_counts,
@@ -17,6 +17,7 @@ from geohom.verify import (
     check_oracle_equivalence,
     check_parity_property,
     check_poset_structure,
+    check_thickness_claims,
     build_artifacts,
     resolve_reference_labeling,
     run_verification,
@@ -194,7 +195,7 @@ def test_verify_computes_one_signature_per_class_orbit(monkeypatch):
     monkeypatch.setattr("geohom.atlas.crossing_signature", counted)
     results, _ = run_verification()
     assert all(r.passed for r in results), [r.line() for r in results]
-    assert len(calls) == K33_CLASS_COUNT + K6_CLASS_COUNT
+    assert len(calls) == ref.K33_CLASS_COUNT + ref.K6_CLASS_COUNT
 
 
 def test_parity_property_masks_each_distinct_chirotope_once(monkeypatch):
@@ -268,7 +269,7 @@ def test_oracle_equivalence_fails_on_a_kernel_disagreement(
 ):
     monkeypatch.setattr(
         "geohom.verify.rational_crossing_structure",
-        lambda r: CrossingStructure(frozenset()),
+        lambda r: frozenset(),
     )
     result = check_oracle_equivalence(session_artifacts, quadruples=10)
     assert not result.passed
@@ -308,3 +309,36 @@ def test_oracle_equivalence_fails_on_a_segment_disagreement(
     result = check_oracle_equivalence(session_artifacts, quadruples=10)
     assert not result.passed
     assert result.detail.startswith("predicates disagree on [(")
+
+
+def test_oracle_equivalence_builds_each_sources_images_once(session_artifacts):
+    # 19 x 19 witness-table queries read the images of 19 source masks
+    mask_images.cache_clear()
+    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    assert result.passed, result.detail
+    info = mask_images.cache_info()
+    assert (info.misses, info.hits) == (19, 19 * 19 - 19)
+
+
+def test_thickness_claims_detail(session_artifacts):
+    result = check_thickness_claims(session_artifacts)
+    assert result.passed, result.detail
+    assert result.detail == (
+        "every thickness<=2 class precedes 7.1; 5.6/5.7/5.8 do not precede"
+        " 7.1; 5.1/5.2/5.3 do not precede 7.2"
+    )
+
+
+def test_thickness_claims_fail_on_a_blocked_class(session_artifacts):
+    poset, labeling = session_artifacts.poset, session_artifacts.labeling
+    leq = [row[:] for row in poset.leq]
+    leq[labeling["5.6"]][labeling["7.1"]] = True
+    leq[labeling["5.3"]][labeling["7.2"]] = True
+    leq[labeling["1.1"]][labeling["7.1"]] = False
+    art = replace(session_artifacts, poset=replace(poset, leq=leq))
+    result = check_thickness_claims(art)
+    assert not result.passed
+    assert result.detail == (
+        "thickness-2 classes not below 7.1: ['1.1']; classes unexpectedly"
+        " below 7.1: ['5.6']; classes unexpectedly below 7.2: ['5.3']"
+    )
