@@ -47,7 +47,6 @@ from . import reference_data as ref
 from .exact_geometry import (
     COORDINATE_LIMIT,
     chirotope_code,
-    chirotope_signs,
     chirotopes_of_six,
     crossing_mask,
     disjoint_edge_pairs,
@@ -288,7 +287,7 @@ def proven_classes(target: str) -> dict[int, int]:
     per K_6 class suffices)."""
     if target == "k6":
         masks = (
-            crossing_mask(chirotope_signs(code), 6)
+            crossing_mask(code, 6)
             for code in chirotopes_of_six()
             if code & 1
         )
@@ -467,7 +466,7 @@ def enumerate_atlases(
         samples += 1
         k6_class = by_code.get(code)
         if k6_class is None:
-            mask = crossing_mask(chirotope_signs(code), 6)
+            mask = crossing_mask(code, 6)
             k6_class, opened = dedup["k6"].observe(
                 mask, lambda: make_realization(_K6_GRAPH, pts)
             )

@@ -173,8 +173,16 @@ def cmd_poset(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.what in ("ex", "lex") and args.label is None:
-        print("error: --label is required for ex/lex exports", file=sys.stderr)
+    labeled = args.what in ("ex", "lex")
+    problem = None
+    if labeled and args.label is None:
+        problem = "--label is required for ex/lex exports"
+    elif not labeled and args.label is not None:
+        problem = "--label applies only to ex/lex exports"
+    elif args.what != "hasse" and args.format is not None:
+        problem = "--format applies only to hasse exports"
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 1
     pinned, poset, _ = _pinned(args)
     if args.what == "atlas":
@@ -249,8 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_export.add_argument("--atlas", default=None)
     _add_enumeration_flags(p_export)
-    p_export.add_argument("--label", default=None)
-    p_export.add_argument("--format", choices=("json", "dot"), default="dot")
+    p_export.add_argument("--label", default=None, help="ex/lex exports only")
+    p_export.add_argument(
+        "--format", choices=("json", "dot"), default=None,
+        help="hasse exports only (default dot)",
+    )
     p_export.add_argument("--out", default=None)
     p_export.set_defaults(func=cmd_export)
     return parser

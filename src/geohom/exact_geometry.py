@@ -6,20 +6,22 @@ differences, so with coordinates bounded by 2**20 every intermediate
 value fits comfortably in a machine word even outside CPython.
 
 Every crossing decision comes from one table, the chirotope: the signs
-of all index triples of a point set (``orientation_signs``).  Disjoint
+of all index triples of a point set (``orientation_signs``), packed into
+one int with a bit per triple (``chirotope_code``; for six points
+straight-line code over the 15 pairwise cross products).  Disjoint
 segments ab and cd cross iff c, d lie on opposite sides of ab and a, b
-lie on opposite sides of cd (``crossing_mask``).  For six points the
-table also comes packed into one int (``chirotope_code``, one bit per
-triple), from straight-line code over the 15 pairwise cross products;
-``chirotope_signs`` unpacks it for ``crossing_mask``.  Which packed
-tables six points in general position can have at all is enumerated
-from the oriented-matroid axioms (``chirotopes_of_six``).
+lie on opposite sides of cd: each side test is the XOR of two chirotope
+bits, so the whole crossing mask is the AND of two affine GF(2) maps of
+the code, which ``crossing_mask`` evaluates by one table lookup per
+7-bit chunk.  Which packed tables six points in general position can
+have at all is enumerated from the oriented-matroid axioms
+(``chirotopes_of_six``).  ``segments_cross_rational`` decides crossings
+by intersecting supporting lines instead, sharing none of this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
@@ -89,14 +91,19 @@ def orientation_signs(pts) -> list[int]:
 
 
 def chirotope_code(pts) -> int | None:
-    """The chirotope of six (x, y) int pairs packed into an int: bit t is
-    set iff orientation_signs(pts)[t] is +1.  None at the first zero sign
-    (a collinear triple or a repeated point).
+    """The chirotope of (x, y) int pairs packed into an int: bit t is set
+    iff orientation_signs(pts)[t] is +1.  None at the first zero sign (a
+    collinear triple or a repeated point).
 
-    Written out in full, as the hot path of sampling: with the 15 cross
-    products c_ij = x_i y_j - y_i x_j, the orientation determinant of
-    triple (i, j, k) is exactly c_ij + c_jk - c_ik.
+    For six points, the hot path of sampling, written out in full: with
+    the 15 cross products c_ij = x_i y_j - y_i x_j, the orientation
+    determinant of triple (i, j, k) is exactly c_ij + c_jk - c_ik.
     """
+    if len(pts) != 6:
+        signs = orientation_signs(pts)
+        if 0 in signs:
+            return None
+        return sum(1 << t for t, sign in enumerate(signs) if sign > 0)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5) = pts
     c01 = x0 * y1 - y0 * x1
     c02 = x0 * y2 - y0 * x2
@@ -218,11 +225,6 @@ def chirotope_code(pts) -> int | None:
     return code
 
 
-def chirotope_signs(code: int) -> list[int]:
-    """The orientation_signs of six points from their chirotope_code."""
-    return [1 if code >> t & 1 else -1 for t in range(20)]
-
-
 @cache
 def _chirotope_constraints() -> tuple[tuple[int, tuple, tuple], ...]:
     """The steps of chirotopes_of_six: the 20 triples in colex order, each
@@ -338,14 +340,52 @@ def _side_tests(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
     return tuple(tests)
 
 
-def crossing_mask(signs: list[int], n: int) -> int:
+@cache
+def _crossing_tables(
+    n: int,
+) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """crossing_mask's tables for n points: the pair count w, the mask of
+    its w bits, and one table per 7-bit chunk of a chirotope_code (the
+    first, then the rest).  Entry c of a chunk's table packs both side-test
+    maps of the chunk bits c, the first in bits 0..w-1, the second in bits
+    w..2w-1.
+
+    By _side_tests, the sign product signs[t1] * signs[t2] is +1 iff code
+    bits t1 and t2 agree, so test d holds iff bit t1 ^ bit t2 ^ (r1 > 0) is
+    set: an affine GF(2) map of the code.  Column t holds the tests whose
+    triples include t; the constant (r > 0) bits go into the first table.
+    """
+    tests = _side_tests(n)
+    width = len(tests)
+    columns = [0] * len(triples(n))
+    constant = 0
+    for d, (t1, t2, r1, t3, t4, r2) in enumerate(tests):
+        columns[t1] ^= 1 << d
+        columns[t2] ^= 1 << d
+        columns[t3] ^= 1 << d + width
+        columns[t4] ^= 1 << d + width
+        constant |= (r1 > 0) << d | (r2 > 0) << d + width
+    tables = []
+    for start in range(0, len(columns) or 1, 7):
+        table = [constant if start == 0 else 0]
+        for column in columns[start:start + 7]:
+            table += [entry ^ column for entry in table]
+        tables.append(tuple(table))
+    return width, (1 << width) - 1, tables[0], tuple(tables[1:])
+
+
+def crossing_mask(code: int | None, n: int) -> int:
     """Bit d set iff pair d of disjoint_edge_pairs(n) properly crosses, for
-    the point set with these orientation_signs; a zero sign never crosses."""
-    mask = 0
-    for bit, (t1, t2, r1, t3, t4, r2) in enumerate(_side_tests(n)):
-        if signs[t1] * signs[t2] == r1 and signs[t3] * signs[t4] == r2:
-            mask |= 1 << bit
-    return mask
+    the n points with this chirotope_code; None (a zero sign) crosses
+    nowhere."""
+    if code is None:
+        return 0
+    width, full, first, rest = _crossing_tables(n)
+    v = first[code & 127]
+    for table in rest:
+        code >>= 7
+        v ^= table[code & 127]
+    return v & v >> width & full
 
 
 def find_general_position_violation(
@@ -371,25 +411,27 @@ def proper_cross(s: Segment, t: Segment) -> bool:
     never yields a crossing).
     """
     pts = [(p.x, p.y) for p in (s.a, s.b, t.a, t.b)]
-    return crossing_mask(orientation_signs(pts), 4) & 1 == 1
+    return crossing_mask(chirotope_code(pts), 4) & 1 == 1
 
 
 def segments_cross_rational(s: Segment, t: Segment) -> bool:
-    """Reference predicate: intersect supporting lines in exact rationals.
+    """Reference predicate: intersect the supporting lines exactly.
 
-    Computes the intersection point of the two supporting lines and tests
-    that it is strictly interior to both segments.  Deliberately
-    independent of orientation_signs so the two predicates can
-    cross-check each other.
+    The lines meet at s.a + u (s.b - s.a) = t.a + v (t.b - t.a), with u and
+    v quotients of integer cross products over one denominator; the
+    segments cross iff 0 < u, v < 1, decided on the numerators once the
+    denominator is made positive.  Parallel lines never cross, and a shared
+    endpoint puts u or v at 0 or 1.  Deliberately independent of
+    orientation_signs so the two predicates can cross-check each other.
     """
-    if len({s.a, s.b, t.a, t.b}) < 4:
-        return False
     dx1, dy1 = s.b.x - s.a.x, s.b.y - s.a.y
     dx2, dy2 = t.b.x - t.a.x, t.b.y - t.a.y
     denom = dx1 * dy2 - dy1 * dx2
     if denom == 0:
         return False
     rx, ry = t.a.x - s.a.x, t.a.y - s.a.y
-    u = Fraction(rx * dy2 - ry * dx2, denom)
-    v = Fraction(rx * dy1 - ry * dx1, denom)
-    return 0 < u < 1 and 0 < v < 1
+    u = rx * dy2 - ry * dx2
+    v = rx * dy1 - ry * dx1
+    if denom < 0:
+        denom, u, v = -denom, -u, -v
+    return 0 < u < denom and 0 < v < denom

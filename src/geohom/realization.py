@@ -17,10 +17,10 @@ from .exact_geometry import (
     GeneralPositionViolation,
     Point,
     Segment,
+    chirotope_code,
     crossing_mask,
     disjoint_edge_pairs,
     find_general_position_violation,
-    orientation_signs,
     segments_cross_rational,
 )
 from .graph_core import AbstractGraph, ParseError
@@ -49,7 +49,7 @@ class GeometricRealization:
     def crossings(self) -> frozenset[CrossingPair]:
         """The crossing structure, computed once per realization."""
         n, edges = self.graph.n, self.graph.edges
-        mask = crossing_mask(orientation_signs([(p.x, p.y) for p in self.points]), n)
+        mask = crossing_mask(chirotope_code([(p.x, p.y) for p in self.points]), n)
         return frozenset(
             (e, f)
             for bit, (e, f) in enumerate(disjoint_edge_pairs(n))

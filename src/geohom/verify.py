@@ -46,7 +46,6 @@ from .exact_geometry import (
     Point,
     Segment,
     chirotope_code,
-    chirotope_signs,
     crossing_mask,
     proper_cross,
     segments_cross_rational,
@@ -409,7 +408,7 @@ def check_parity_property(
             continue
         if code not in seen:
             seen.add(code)
-            mask = crossing_mask(chirotope_signs(code), 6)
+            mask = crossing_mask(code, 6)
             for joining in JOINING_MASKS:
                 if not (mask & joining).bit_count() & 1:
                     return _even_parity(mask, joining, f"at points {pts}")

@@ -1,16 +1,52 @@
 """Definition-level references for the tests, independent of the
-symmetry tables and of the packed label scorer: isomorphism by brute
-force, every graph homomorphism K_{3,3} -> K_{3,3} as a candidate vertex
-map, and label pinning by scoring each labeling cell by cell."""
+crossing tables, the symmetry tables and the packed label scorer: the
+crossing mask by one side test per edge pair, the rational predicate in
+Fractions, isomorphism by brute force, every graph homomorphism
+K_{3,3} -> K_{3,3} as a candidate vertex map, and label pinning by
+scoring each labeling cell by cell."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 from geohom import reference_data as ref
+from geohom.exact_geometry import Segment, _side_tests
 from geohom.morphisms import VertexMap, brute_force_injective_geo_homomorphisms
 from geohom.poset import HomPoset
 from geohom.realization import GeometricRealization, crossing_structure
+
+
+def chirotope_signs(code: int) -> list[int]:
+    """The orientation_signs of six points from their chirotope_code."""
+    return [1 if code >> t & 1 else -1 for t in range(20)]
+
+
+def crossing_mask_of_signs(signs: list[int], n: int) -> int:
+    """Bit d set iff pair d of disjoint_edge_pairs(n) properly crosses, for
+    the point set with these orientation_signs; a zero sign never crosses
+    its own pairs."""
+    mask = 0
+    for bit, (t1, t2, r1, t3, t4, r2) in enumerate(_side_tests(n)):
+        if signs[t1] * signs[t2] == r1 and signs[t3] * signs[t4] == r2:
+            mask |= 1 << bit
+    return mask
+
+
+def segments_cross_fraction(s: Segment, t: Segment) -> bool:
+    """Intersect the supporting lines in Fractions and test that the point
+    is strictly interior to both segments."""
+    if len({s.a, s.b, t.a, t.b}) < 4:
+        return False
+    dx1, dy1 = s.b.x - s.a.x, s.b.y - s.a.y
+    dx2, dy2 = t.b.x - t.a.x, t.b.y - t.a.y
+    denom = dx1 * dy2 - dy1 * dx2
+    if denom == 0:
+        return False
+    rx, ry = t.a.x - s.a.x, t.a.y - s.a.y
+    u = Fraction(rx * dy2 - ry * dx2, denom)
+    v = Fraction(rx * dy1 - ry * dx1, denom)
+    return 0 < u < 1 and 0 < v < 1
 
 
 def geo_isomorphic(a: GeometricRealization, b: GeometricRealization) -> VertexMap | None:

@@ -34,7 +34,6 @@ from geohom.atlas import (
 from geohom.exact_geometry import (
     Point,
     chirotope_code,
-    chirotope_signs,
     chirotopes_of_six,
     crossing_mask,
     find_general_position_violation,
@@ -255,9 +254,9 @@ def test_crossing_mask_built_once_per_chirotope(monkeypatch):
             drawn.append(pts)
             yield pts
 
-    def counted(signs, n):
-        masks.append(tuple(signs))
-        return crossing_mask(signs, n)
+    def counted(code, n):
+        masks.append(code)
+        return crossing_mask(code, n)
 
     # the proof's own crossing masks are built before counting starts
     proven_classes("k33")
@@ -268,7 +267,7 @@ def test_crossing_mask_built_once_per_chirotope(monkeypatch):
     distinct = {code for code in codes if code is not None}
     assert _samples(both["k6"]) == len(codes) - codes.count(None) == 763
     assert len(masks) == len(set(masks)) == len(distinct) < 763
-    assert set(masks) == {tuple(chirotope_signs(code)) for code in distinct}
+    assert set(masks) == distinct
 
 
 def test_one_pass_budget_cuts_only_the_later_target():
@@ -461,7 +460,7 @@ def test_exhaustive_chirotopes_and_classes():
     full = (1 << 20) - 1
     assert len(codes) == len(set(codes)) == 11_904
     assert {full ^ code for code in codes} == set(codes)
-    masks = {crossing_mask(chirotope_signs(code), 6) for code in codes}
+    masks = {crossing_mask(code, 6) for code in codes}
     assert len(masks) == 4_524
     assert set(proven_classes("k6")) == masks
     assert (proven_class_count("k6"), proven_class_count("k33")) == (15, 19)
@@ -538,7 +537,9 @@ def test_import_builds_no_symmetry_table():
         "import geohom, geohom.cli\n"
         "from geohom.atlas import orbit_keys, orbit_signature, proven_classes,"
         " symmetry_table\n"
-        "caches = (symmetry_table, proven_classes, orbit_keys, orbit_signature)\n"
+        "from geohom.exact_geometry import _crossing_tables\n"
+        "caches = (symmetry_table, proven_classes, orbit_keys, orbit_signature,"
+        " _crossing_tables)\n"
         "print(sum(f.cache_info().currsize for f in caches))"
     )
     out = subprocess.run(

@@ -359,6 +359,23 @@ def test_export_graphs(tmp_path, capsys):
     assert "--label is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--what", "ex", "--label", "3.1", "--format", "json"], "--format applies only"),
+        (["--what", "atlas", "--format", "dot"], "--format applies only"),
+        (["--what", "hasse", "--label", "3.1"], "--label applies only"),
+        (["--what", "atlas", "--label", "3.1"], "--label applies only"),
+    ],
+)
+def test_export_rejects_flags_of_other_kinds(tmp_path, capsys, flags, error):
+    # checked before any atlas is read or enumerated
+    rc = run(["export", *flags, "--atlas", str(tmp_path / "missing.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
 def test_verify_passes(capsys):
     rc = run(
         [

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -8,11 +8,15 @@ from geohom.exact_geometry import (
     GeneralPositionViolation,
     Point,
     Segment,
+    chirotopes_of_six,
+    crossing_mask,
     find_general_position_violation,
     orientation_signs,
     proper_cross,
     segments_cross_rational,
 )
+
+from brute_force import chirotope_signs, crossing_mask_of_signs
 
 
 def P(x, y):
@@ -118,6 +122,28 @@ def test_proper_cross_matches_rational_oracle():
         t = Segment(P(*coords[2]), P(*coords[3]))
         assert proper_cross(s, t) == segments_cross_rational(s, t)
         compared += 1
+
+
+def test_crossing_mask_matches_the_sign_loop_on_every_chirotope():
+    codes = chirotopes_of_six()
+    assert len(codes) == 11_904
+    for code in codes:
+        assert crossing_mask(code, 6) == crossing_mask_of_signs(chirotope_signs(code), 6)
+
+
+def test_crossing_mask_on_every_four_point_sign_pattern():
+    # each of the three disjoint pairs of four points has side tests that
+    # read all four triples, so any zero sign means no crossing
+    crossing = 0
+    for signs in product((-1, 0, 1), repeat=4):
+        expected = crossing_mask_of_signs(list(signs), 4)
+        if 0 in signs:
+            assert expected == crossing_mask(None, 4) == 0
+            continue
+        code = sum(1 << t for t, sign in enumerate(signs) if sign > 0)
+        assert crossing_mask(code, 4) == expected
+        crossing += expected != 0
+    assert crossing == 8
 
 
 def test_violation_exception_carries_context():

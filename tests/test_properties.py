@@ -1,12 +1,13 @@
 """Property tests: the orientation-table kernel against the independent
-rational predicate, the packed six-point chirotope against the
-orientation table, the seeded point generator against randrange, the
-atlas masks against the realization's crossing structure, the symmetry
-tables against brute-force isomorphism and homomorphism, the per-orbit
-signatures against the signature of each drawing, canonical labels
-(plain and two-colored) against the isomorphism searches, the pinned
-order against a fresh build, and the packed label scorer against one
-that scores every labeling cell by cell."""
+rational predicate and against the per-pair sign loop, the rational
+predicate against its Fraction form, the packed six-point chirotope
+against the orientation table, the seeded point generator against
+randrange, the atlas masks against the realization's crossing structure,
+the symmetry tables against brute-force isomorphism and homomorphism,
+the per-orbit signatures against the signature of each drawing,
+canonical labels (plain and two-colored) against the isomorphism
+searches, the pinned order against a fresh build, and the packed label
+scorer against one that scores every labeling cell by cell."""
 
 from __future__ import annotations
 
@@ -34,12 +35,13 @@ from geohom.atlas import (
 from geohom.exact_geometry import (
     COORDINATE_LIMIT,
     Point,
+    Segment,
     chirotope_code,
-    chirotope_signs,
     chirotopes_of_six,
     crossing_mask,
     find_general_position_violation,
     orientation_signs,
+    segments_cross_rational,
 )
 from geohom.graph_core import (
     AbstractGraph,
@@ -151,7 +153,38 @@ def test_chirotope_code_packs_orientation_signs(pts):
     assert (code is None) == (0 in signs)
     if code is not None:
         assert code == sum(1 << t for t, sign in enumerate(signs) if sign > 0)
-        assert chirotope_signs(code) == signs
+        assert brute_force.chirotope_signs(code) == signs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 7).flatmap(
+    lambda n: st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n)
+))
+def test_crossing_mask_matches_the_sign_loop(pts):
+    n = len(pts)
+    signs = orientation_signs(pts)
+    code = chirotope_code(pts)
+    if code is None:
+        assert crossing_mask(code, n) == 0
+    else:
+        assert crossing_mask(code, n) == brute_force.crossing_mask_of_signs(signs, n)
+
+
+# coordinates in [-6, 6]: shared endpoints, collinear overlaps and parallel
+# segments come up often
+small_segment = st.tuples(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+).filter(lambda ends: ends[0] != ends[1])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(small_segment, small_segment)
+def test_rational_predicate_matches_fractions(first, second):
+    s = Segment(Point(*first[0]), Point(*first[1]))
+    t = Segment(Point(*second[0]), Point(*second[1]))
+    assert segments_cross_rational(s, t) == brute_force.segments_cross_fraction(s, t)
+    assert segments_cross_rational(s, t) == segments_cross_rational(t, s)
 
 
 @st.composite
@@ -194,7 +227,7 @@ def test_random_point_sets_draw_the_randrange_sequence(bound, seed):
 def test_atlas_masks_match_crossing_structure(pts):
     assume(_general_position(pts))
     k6 = make_realization(K6, pts)
-    assert crossing_mask(orientation_signs(pts), 6) == crossing_mask_of(k6)
+    assert crossing_mask(chirotope_code(pts), 6) == crossing_mask_of(k6)
     # the K_{3,3} drawings enumerate_classes reads off, per bipartition,
     # cross exactly where the K_6 drawing does
     for first, second in bipartitions_of_6():
@@ -223,7 +256,7 @@ def test_atlas_masks_match_crossing_structure(pts):
 @settings(max_examples=300, deadline=None)
 @given(drawing_points)
 def test_joining_masks_count_bipartition_crossings(pts):
-    k6_mask = crossing_mask(orientation_signs(pts), 6)
+    k6_mask = crossing_mask(chirotope_code(pts), 6)
     for (first, second), joining in zip(bipartitions_of_6(), JOINING_MASKS):
         k33 = _materialize_k33(pts, first, second)
         assert (k6_mask & joining).bit_count() == len(crossing_structure(k33))

@@ -8,12 +8,15 @@ from geohom import reference_data as ref
 from geohom.atlas import mask_images, orbit_signature
 from geohom.exact_geometry import chirotope_code, crossing_mask
 from geohom.invariants import crossing_signature
-from geohom.morphisms import VertexMap, injective_geo_homomorphisms
-from geohom.poset import build_poset, poset_to_json
+from geohom.morphisms import VertexMap, injective_geo_homomorphisms, prop_conditions
+from geohom.poset import build_poset, poset_to_json, transitive_reduction
 from geohom.verify import (
     VerificationArtifacts,
     check_atlas_counts,
+    check_condition_soundness,
     check_cover_pattern,
+    check_crossing_histogram,
+    check_non_precedence_facts,
     check_oracle_equivalence,
     check_parity_property,
     check_poset_structure,
@@ -175,7 +178,7 @@ def test_parity_property_covers_every_proven_mask(monkeypatch):
 def test_parity_property_names_the_sampled_bipartition(monkeypatch):
     # the sampled half: a point set drawn as uncrossed fails at the first
     # bipartition, and the failure names it
-    monkeypatch.setattr("geohom.verify.crossing_mask", lambda signs, n: 0)
+    monkeypatch.setattr("geohom.verify.crossing_mask", lambda code, n: 0)
     result = check_parity_property(1)
     assert not result.passed
     assert result.detail.startswith("even crossing count 0 at points")
@@ -210,9 +213,9 @@ def test_parity_property_masks_each_distinct_chirotope_once(monkeypatch):
                 break
     calls = []
 
-    def counted(signs, n):
-        calls.append(n)
-        return crossing_mask(signs, n)
+    def counted(code, n):
+        calls.append(code)
+        return crossing_mask(code, n)
 
     monkeypatch.setattr("geohom.verify.crossing_mask", counted)
     result = check_parity_property(10_000)
@@ -342,3 +345,61 @@ def test_thickness_claims_fail_on_a_blocked_class(session_artifacts):
         "thickness-2 classes not below 7.1: ['1.1']; classes unexpectedly"
         " below 7.1: ['5.6']; classes unexpectedly below 7.2: ['5.3']"
     )
+
+
+def test_non_precedence_certificates_fail_on_a_related_fact(session_artifacts):
+    assert check_non_precedence_facts(session_artifacts).passed
+    poset, labeling = session_artifacts.poset, session_artifacts.labeling
+    src, dst, _ = ref.NON_PRECEDENCE_FACTS[0]
+    leq = [row[:] for row in poset.leq]
+    leq[labeling[src]][labeling[dst]] = True
+    art = replace(session_artifacts, poset=replace(poset, leq=leq))
+    result = check_non_precedence_facts(art)
+    assert not result.passed
+    assert result.detail == f"{src} precedes {dst}"
+
+
+def test_condition_soundness_names_the_failing_related_pair(
+    session_artifacts, monkeypatch
+):
+    assert check_condition_soundness(session_artifacts).passed
+    poset, labeling = session_artifacts.poset, session_artifacts.labeling
+    i, j = labeling["3.1"], labeling["9.1"]
+    assert poset.leq[i][j]
+    src, dst = poset.classes[i].representative, poset.classes[j].representative
+
+    def stubbed(a, b):
+        report = prop_conditions(a, b)
+        if a is src and b is dst:
+            return replace(report, cond2_ex_hom_exists=False)
+        return report
+
+    monkeypatch.setattr("geohom.verify.prop_conditions", stubbed)
+    result = check_condition_soundness(session_artifacts)
+    assert not result.passed
+    assert result.detail == "(3.1, 9.1): ['cond2_ex_hom_exists']"
+
+
+def test_crossing_histogram_fails_without_the_9_crossing_class(session_artifacts):
+    assert check_crossing_histogram(session_artifacts).passed
+    atlas = session_artifacts.atlas33_a
+    dropped = replace(atlas, classes=[c for c in atlas.classes if c.signature.cr != 9])
+    result = check_crossing_histogram(replace(session_artifacts, atlas33_a=dropped))
+    assert not result.passed
+    assert result.detail == "classes per crossing number {1: 1, 3: 7, 5: 8, 7: 2}, all odd"
+
+
+def test_poset_structure_fails_on_a_cover_that_skips_a_rank(session_artifacts):
+    assert check_poset_structure(session_artifacts).passed
+    poset, labeling = session_artifacts.poset, session_artifacts.labeling
+    # 3.7 does not precede 7.1; with 3.7 <= 7.1 added the order stays
+    # transitive (1.1 is below both, 9.1 above both) and gains the cover
+    # 3.7 -> 7.1, two ranks up
+    i, j = labeling["3.7"], labeling["7.1"]
+    assert not poset.leq[i][j] and (poset.rank[i], poset.rank[j]) == (1, 3)
+    leq = [row[:] for row in poset.leq]
+    leq[i][j] = True
+    broken = replace(poset, leq=leq, hasse_edges=transitive_reduction(leq))
+    result = check_poset_structure(replace(session_artifacts, poset=broken))
+    assert not result.passed
+    assert result.detail == f"rank steps broken at [({i}, {j})]"
