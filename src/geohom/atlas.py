@@ -41,7 +41,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import reference_data as ref
 from .exact_geometry import (
@@ -84,6 +84,8 @@ from .realization import (
 )
 
 TARGETS = ("k33", "k6")
+# grid mode sweeps 6-subsets of a pool of (bound + 1)^2 points built up front
+GRID_BOUND_LIMIT = 100
 
 
 class BudgetExhausted(RuntimeError):
@@ -121,6 +123,10 @@ class EnumerationConfig:
         if not 2 <= self.coordinate_bound <= COORDINATE_LIMIT:
             raise ConfigError(
                 f"coordinate bound must lie in [2, {COORDINATE_LIMIT}]"
+            )
+        if self.mode == "grid" and self.coordinate_bound > GRID_BOUND_LIMIT:
+            raise ConfigError(
+                f"grid mode needs a coordinate bound of at most {GRID_BOUND_LIMIT}"
             )
         if self.stabilization_window < 1:
             raise ConfigError("stabilization window must be positive")
@@ -376,18 +382,20 @@ class _Dedup:
         ]
 
 
-def random_point_sets(seed: int, bound: int):
-    """Endless seeded 6-point sets with coordinates in [-bound, bound].
+def random_point_sets(seed: int, bound: int, count: int = 6):
+    """Endless seeded sets of count points (six for a sample, four for a
+    segment pair) with coordinates in [-bound, bound].
 
     Each coordinate is the getrandbits rejection loop behind CPython's
-    randrange(-bound, bound + 1), inlined: the same points, drawn faster.
+    randrange(-bound, bound + 1), inlined: the same points, x before y, as
+    that many randrange calls, drawn faster.
     """
     getrandbits = random.Random(seed).getrandbits
     width = 2 * bound + 1
     k = width.bit_length()
     while True:
         pts = []
-        for _ in range(6):
+        for _ in range(count):
             x = getrandbits(k)
             while x >= width:
                 x = getrandbits(k)
@@ -427,6 +435,12 @@ def enumerate_atlases(
     incomplete after cfg.stabilization_window samples without a new class
     of it.  The pass ends once all have closed.
 
+    The sample budget cfg.max_samples counts every draw, degenerate ones
+    (a repeated point or a collinear triple) too, so it ends a run of
+    degenerate draws such as a grid prefix holding a collinear triple;
+    the window, the reported sample counts and the discovery counts count
+    the non-degenerate samples alone.
+
     Deterministic for a fixed config.  Raises BudgetExhausted for the
     first target left incomplete (by its window, the sample budget or the
     end of the grid); its partial atlas rides on the exception.
@@ -459,7 +473,7 @@ def enumerate_atlases(
     # the mask is built and deduped only on a miss, and only a miss opens
     by_code: dict[int, int] = {}
     samples = 0
-    for pts in _point_sets(cfg):
+    for pts in islice(_point_sets(cfg), cfg.max_samples):
         code = chirotope_code(pts)
         if code is None:
             continue
@@ -491,7 +505,7 @@ def enumerate_atlases(
                 close(target, True)
             elif at == samples:
                 close(target, False)
-        if not stall_at or samples >= cfg.max_samples:
+        if not stall_at:
             break
     for target in list(stall_at):
         close(target, False)

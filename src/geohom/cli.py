@@ -54,7 +54,7 @@ def _add_enumeration_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-samples", type=int, default=500_000,
-        help="hard sample budget",
+        help="hard budget of draws, degenerate ones included",
     )
 
 

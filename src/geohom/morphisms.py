@@ -9,8 +9,10 @@ preserves crossings iff it carries the source's crossing mask into the
 target's.  So the witnesses are read off the atlas symmetry table; the
 definition-level brute force over every injective map is kept as the
 independent oracle.  It tests every injective map's edges once per graph
-pair (every atlas drawing shares one graph, so once per process) and
-each surviving map's crossings per drawing pair.
+pair (every atlas drawing shares one graph, so once per process), builds
+each surviving map's image of a source's crossing pairs once per source,
+and compares that image with each target's crossing pairs as one AND of
+two masks.
 
 The three necessary conditions for a vertex-injective homomorphism
 (uncrossed pullback, injective embedding of crossing graphs, and a
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .atlas import automorphisms, crossing_mask_of, mask_images, shared_layout
 from .graph_core import (
@@ -36,6 +38,7 @@ from .invariants import (
     uncrossed_subgraph,
 )
 from .realization import (
+    CrossingPair,
     Edge,
     GeometricRealization,
     crossing_structure,
@@ -125,32 +128,77 @@ def _edge_preserving_maps(
     return tuple(out)
 
 
-def brute_force_injective_geo_homomorphisms(
-    src: GeometricRealization, dst: GeometricRealization
-) -> list[VertexMap]:
-    """Oracle path: every injective vertex map tested against the
-    definition, sorted by images.
+@cache
+def _pair_bits(graph: AbstractGraph) -> dict[CrossingPair, int]:
+    """A bit per vertex-disjoint edge pair (e, f), e < f, of graph: the
+    brute force's own index for crossing pairs, shared with no table of
+    the atlas (cached per graph)."""
+    pairs = (
+        (e, f)
+        for e, f in combinations(graph.sorted_edges(), 2)
+        if e[0] not in f and e[1] not in f
+    )
+    return {pair: bit for bit, pair in enumerate(pairs)}
 
-    All injective maps are tested: the edge test once per graph pair (in
-    ``_edge_preserving_maps``), then the crossing-pair test per drawing
-    pair on the maps that pass it.  No use of the symmetry tables; kept
-    independent of injective_geo_homomorphisms so the two can be compared.
-    """
-    n_src, n_dst = src.graph.n, dst.graph.n
-    x_src = sorted(crossing_structure(src))
-    x_dst = crossing_structure(dst)
+
+def _crossing_images(
+    src: GeometricRealization, dst_graph: AbstractGraph
+) -> list[tuple[tuple[int, ...], int]]:
+    """Per edge-preserving map src.graph -> dst_graph, in lexicographic
+    order: the map, and the image of src's crossing pairs under it as a
+    mask over _pair_bits(dst_graph).  An injective map carries disjoint
+    edges onto disjoint edges, so every image pair has a bit."""
+    bit = _pair_bits(dst_graph)
+    x_src = crossing_structure(src)
     out = []
-    for perm in _edge_preserving_maps(src.graph, dst.graph):
+    for perm in _edge_preserving_maps(src.graph, dst_graph):
+        image = 0
         for e, f in x_src:
             a, b = perm[e[0]], perm[e[1]]
             c, d = perm[f[0]], perm[f[1]]
             ie = (a, b) if a < b else (b, a)
             ig = (c, d) if c < d else (d, c)
-            if ordered_pair(ie, ig) not in x_dst:
-                break
-        else:
-            out.append(VertexMap(n_src, n_dst, perm))
+            image |= 1 << bit[ordered_pair(ie, ig)]
+        out.append((perm, image))
     return out
+
+
+def brute_force_witness_lists(
+    sources: list[GeometricRealization], targets: list[GeometricRealization]
+):
+    """Oracle path on many pairs: yields
+    brute_force_injective_geo_homomorphisms(src, dst) for each source in
+    order and, within a source, for each target in order.
+
+    Every injective map is tested against the definition: the edge test
+    once per graph pair (in ``_edge_preserving_maps``), then each map's
+    image of the source's crossing pairs, built once per source and
+    target graph, against each target's crossing pairs.  No use of the
+    symmetry tables; kept independent of injective_geo_homomorphisms so
+    the two can be compared.
+    """
+    crossed = []
+    for dst in targets:
+        bit = _pair_bits(dst.graph)
+        crossed.append((dst.graph, sum(1 << bit[p] for p in crossing_structure(dst))))
+    for src in sources:
+        images: dict[AbstractGraph, list] = {}
+        for graph, x_dst in crossed:
+            if graph not in images:
+                images[graph] = _crossing_images(src, graph)
+            yield [
+                VertexMap(src.graph.n, graph.n, perm)
+                for perm, image in images[graph]
+                if not image & ~x_dst
+            ]
+
+
+def brute_force_injective_geo_homomorphisms(
+    src: GeometricRealization, dst: GeometricRealization
+) -> list[VertexMap]:
+    """Oracle path: every injective vertex map tested against the
+    definition, sorted by images (see brute_force_witness_lists)."""
+    return next(brute_force_witness_lists([src], [dst]))
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,14 @@ def crossing_structure(r: GeometricRealization) -> frozenset[CrossingPair]:
 
 def rational_crossing_structure(r: GeometricRealization) -> frozenset[CrossingPair]:
     """The same pairs decided by segments_cross_rational: an oracle for
-    crossing_structure that shares none of its arithmetic."""
+    crossing_structure that shares none of its arithmetic.  One Segment is
+    built per edge, and each vertex-disjoint pair of them is tested."""
+    edges = r.graph.sorted_edges()
+    segments = zip(edges, map(r.segment, edges))
     return frozenset(
         (e, f)
-        for e, f in combinations(r.graph.sorted_edges(), 2)
-        if not set(e) & set(f)
-        and segments_cross_rational(r.segment(e), r.segment(f))
+        for (e, s), (f, t) in combinations(segments, 2)
+        if e[0] not in f and e[1] not in f and segments_cross_rational(s, t)
     )
 
 

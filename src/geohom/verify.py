@@ -22,7 +22,6 @@ with explicit notes rather than silently repaired:
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, replace
 from itertools import permutations
 from operator import getitem
@@ -55,6 +54,7 @@ from .invariants import edge_crossing_graph
 from .morphisms import (
     NotApplicable,
     brute_force_injective_geo_homomorphisms,
+    brute_force_witness_lists,
     explain_non_precedence,
     injective_geo_homomorphisms,
     prop_conditions,
@@ -391,15 +391,21 @@ def check_crossing_histogram(art: VerificationArtifacts) -> CheckResult:
 def check_parity_property(
     sample_count: int = 10_000, seed: int = 20_250_810
 ) -> CheckResult:
-    """Every K_{3,3} drawing has an odd crossing count.  Each point set is
-    drawn once, as a K_6 crossing mask: a bipartition's drawing crosses in
-    exactly the K_6 pairs whose two edges both join the parts.  The point
-    sets come from the atlas's seeded generator, and each is counted; a
-    mask is a function of the point set's chirotope, so every distinct
-    chirotope's mask is computed and tested once.  Then the same test runs
-    on every mask of the proven K_6 classes, that is on every drawing of
-    K_{3,3} there is."""
+    """Every K_{3,3} drawing has an odd crossing count.  A point set's ten
+    K_{3,3} drawings are read off its K_6 crossing mask: a bipartition's
+    drawing crosses in exactly the K_6 pairs whose two edges both join the
+    parts.  So the test runs once per distinct mask: first on every mask
+    of the proven K_6 classes, that is on every drawing of K_{3,3} there
+    is, then on each sampled mask that is not among them, named by its
+    points.  The point sets come from the atlas's seeded generator, and
+    each is counted; a mask is a function of the point set's chirotope,
+    so it is computed once per distinct chirotope."""
     _require_positive(sample_count, "parity sample count")
+    masks = proven_classes("k6")
+    for mask in masks:
+        even = _even_bipartition(mask)
+        if even is not None:
+            return _even_parity(mask, even, f"in the proven K_6 mask {mask:#x}")
     checked = 0
     seen = set()
     for pts in random_point_sets(seed, 1000):
@@ -409,17 +415,13 @@ def check_parity_property(
         if code not in seen:
             seen.add(code)
             mask = crossing_mask(code, 6)
-            for joining in JOINING_MASKS:
-                if not (mask & joining).bit_count() & 1:
-                    return _even_parity(mask, joining, f"at points {pts}")
+            if mask not in masks:
+                even = _even_bipartition(mask)
+                if even is not None:
+                    return _even_parity(mask, even, f"at points {pts}")
         checked += 1
         if checked == sample_count:
             break
-    masks = proven_classes("k6")
-    for mask in masks:
-        for joining in JOINING_MASKS:
-            if not (mask & joining).bit_count() & 1:
-                return _even_parity(mask, joining, f"in the proven K_6 mask {mask:#x}")
     return CheckResult(
         "parity-property",
         True,
@@ -428,14 +430,23 @@ def check_parity_property(
     )
 
 
-def _even_parity(mask: int, joining: int, where: str) -> CheckResult:
+def _even_bipartition(mask: int) -> int | None:
+    """The first bipartition (an index into bipartitions_of_6()) whose
+    K_{3,3} drawing within a K_6 drawing with this mask crosses an even
+    number of times, or None: the mask's ten parity tests."""
+    for k, joining in enumerate(JOINING_MASKS):
+        if not (mask & joining).bit_count() & 1:
+            return k
+    return None
+
+
+def _even_parity(mask: int, k: int, where: str) -> CheckResult:
     """The failure of the parity check at one K_6 mask and bipartition."""
-    parts = bipartitions_of_6()[JOINING_MASKS.index(joining)]
     return CheckResult(
         "parity-property",
         False,
-        f"even crossing count {(mask & joining).bit_count()} {where}"
-        f" parts {sorted(map(sorted, parts))}",
+        f"even crossing count {(mask & JOINING_MASKS[k]).bit_count()} {where}"
+        f" parts {sorted(map(sorted, bipartitions_of_6()[k]))}",
     )
 
 
@@ -723,6 +734,14 @@ def check_oracle_equivalence(
     quadruples: int = 1000,
     seed: int = 4242,
 ) -> CheckResult:
+    """The fast paths against their independent oracles.  Every class
+    representative's crossing structure against the rational predicate;
+    the witness table and the order against the brute force on every
+    pair of pinned classes, which builds each source's crossing images
+    once for all 19 targets (``brute_force_witness_lists``); and proper_cross
+    against the rational predicate on the first valid segment quadruples
+    of the seeded point generator at coordinate bound 60, the quadruples
+    that randrange(-60, 61) draws."""
     _require_positive(quadruples, "oracle quadruple count")
     atlases = (art.pinned, art.atlas6_a, art.atlas6_b)
     for atlas in atlases:
@@ -736,11 +755,11 @@ def check_oracle_equivalence(
                     f" {atlas.target} class {cls.label}",
                 )
     poset = art.poset
-    for i in range(poset.n):
-        for j in range(poset.n):
-            src = poset.classes[i].representative
-            dst = poset.classes[j].representative
-            brute = brute_force_injective_geo_homomorphisms(src, dst)
+    reps = [cls.representative for cls in poset.classes]
+    brute_lists = brute_force_witness_lists(reps, reps)
+    for i, src in enumerate(reps):
+        for j, dst in enumerate(reps):
+            brute = next(brute_lists)
             if injective_geo_homomorphisms(src, dst) != brute:
                 return CheckResult(
                     "oracle-equivalence",
@@ -755,12 +774,8 @@ def check_oracle_equivalence(
                     f"order disagrees with brute force on"
                     f" ({poset.label(i)}, {poset.label(j)})",
                 )
-    rng = random.Random(seed)
     compared = 0
-    while compared < quadruples:
-        coords = [
-            (rng.randrange(-60, 61), rng.randrange(-60, 61)) for _ in range(4)
-        ]
+    for coords in random_point_sets(seed, 60, 4):
         if coords[0] == coords[1] or coords[2] == coords[3]:
             continue
         s = Segment(Point(*coords[0]), Point(*coords[1]))
@@ -772,6 +787,8 @@ def check_oracle_equivalence(
                 f"predicates disagree on {coords}",
             )
         compared += 1
+        if compared == quadruples:
+            break
     return CheckResult(
         "oracle-equivalence",
         True,

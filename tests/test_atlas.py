@@ -10,9 +10,11 @@ import pytest
 
 import geohom
 from geohom.atlas import (
+    GRID_BOUND_LIMIT,
     AnchorConflict,
     Atlas,
     BudgetExhausted,
+    ConfigError,
     EnumerationConfig,
     UnknownLabel,
     _materialize_k33,
@@ -78,6 +80,11 @@ def test_config_validation():
         EnumerationConfig(stabilization_window=0)
     with pytest.raises(ValueError):
         EnumerationConfig(max_samples=0)
+    # grid mode builds its point pool up front, so its bound has a limit
+    EnumerationConfig(mode="grid", coordinate_bound=GRID_BOUND_LIMIT)
+    with pytest.raises(ConfigError, match=f"at most {GRID_BOUND_LIMIT}"):
+        EnumerationConfig(mode="grid", coordinate_bound=GRID_BOUND_LIMIT + 1)
+    EnumerationConfig(mode="random", coordinate_bound=GRID_BOUND_LIMIT + 1)
     with pytest.raises(ValueError):
         enumerate_classes("k5", quick_cfg())
     with pytest.raises(ValueError, match="unknown target 'k5'"):

@@ -88,13 +88,35 @@ def test_enumerate_grid_bound_4_completes(tmp_path, capsys):
     assert "19 classes; histogram 1:1 3:7 5:8 7:2 9:1" in capsys.readouterr().out
 
 
-def _python_m(module, *args):
+def _python_m(module, *args, timeout=None):
     src = str(Path(geohom.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-m", module, *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_grid_budget_counts_degenerate_draws(tmp_path):
+    # every 6-subset of the bound-50 grid among its first ~2.9e9 holds the
+    # collinear (0,0), (0,1), (0,2): the budget must still end the sweep
+    out = tmp_path / "grid.json"
+    done = _python_m(
+        "geohom", "enumerate", "--mode", "grid", "--bound", "50",
+        "--max-samples", "1000", "--window", "100", "--out", str(out),
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "stopped after 0 samples with 0 of 19 classes" in done.stderr
+    assert json.loads(out.read_text()) == []
+
+
+def test_grid_bound_above_the_limit_is_a_usage_error(tmp_path, capsys):
+    rc = run(["enumerate", "--mode", "grid", "--out", str(tmp_path / "grid.json")])
+    assert rc == 2
+    assert "grid mode needs a coordinate bound of at most 100" in capsys.readouterr().err
+    assert not (tmp_path / "grid.json").exists()
 
 
 @pytest.mark.parametrize("module", ["geohom", "geohom.cli"])

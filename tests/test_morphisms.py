@@ -11,7 +11,9 @@ from geohom.morphisms import (
     PropReport,
     VertexMap,
     _edge_preserving_maps,
+    _pair_bits,
     brute_force_injective_geo_homomorphisms,
+    brute_force_witness_lists,
     explain_non_precedence,
     hom_query,
     injective_geo_homomorphisms,
@@ -170,12 +172,30 @@ def test_brute_force_reads_no_symmetry_table(cr1, cr3, monkeypatch):
     monkeypatch.setattr("geohom.atlas.symmetry_table", forbidden)
     monkeypatch.setattr("geohom.graph_core.all_graph_automorphisms", forbidden)
     _edge_preserving_maps.cache_clear()
+    _pair_bits.cache_clear()
     try:
         maps = brute_force_injective_geo_homomorphisms(cr1, cr3)
         assert len(_edge_preserving_maps(cr1.graph, cr3.graph)) == 72
+        # the many-pair path that verify's oracle check runs
+        lists = list(brute_force_witness_lists([cr1, cr3], [cr1, cr3]))
     finally:
         _edge_preserving_maps.cache_clear()
+        _pair_bits.cache_clear()
     assert maps
+    assert lists[1] == maps and lists[2] == []
+
+
+def test_witness_lists_are_the_pairwise_brute_force(cr1, cr3, cr9):
+    drawings = [cr1, cr3, cr9, k33(CR3_POINTS[::-1])]
+    assert list(brute_force_witness_lists(drawings, drawings)) == [
+        brute_force_injective_geo_homomorphisms(src, dst)
+        for src in drawings
+        for dst in drawings
+    ]
+    k6 = [k6_on(r) for r in drawings]
+    assert list(brute_force_witness_lists(k6[:2], k6)) == [
+        brute_force_injective_geo_homomorphisms(src, dst) for src in k6[:2] for dst in k6
+    ]
 
 
 def test_witness_table_needs_one_layout(cr1, cr3):

@@ -6,6 +6,7 @@ import pytest
 from geohom.exact_geometry import (
     GeneralPositionViolation,
     Point,
+    Segment,
     find_general_position_violation,
     segments_cross_rational,
 )
@@ -19,6 +20,7 @@ from geohom.realization import (
     bipartitions_of_6,
     crossing_structure,
     make_realization,
+    rational_crossing_structure,
     realization_from_json,
     realization_to_json,
 )
@@ -93,6 +95,23 @@ def test_hexagon_crossing_set():
         ((0, 4), (2, 3)),
         ((1, 5), (2, 3)),
     ]
+
+
+def test_rational_structure_builds_one_segment_per_edge(monkeypatch):
+    k33 = make_complete_bipartite_realization(HEXAGON_ALTERNATING, ({0, 1, 2}, {3, 4, 5}))
+    k6 = make_realization(complete_graph(6), HEXAGON_ALTERNATING)
+    expected = {r: rational_crossings(r) for r in (k33, k6)}
+    built = []
+
+    def counted(a, b):
+        built.append((a, b))
+        return Segment(a, b)
+
+    monkeypatch.setattr("geohom.realization.Segment", counted)
+    for r, edges in ((k33, 9), (k6, 15)):
+        built.clear()
+        assert rational_crossing_structure(r) == expected[r]
+        assert len(built) == edges
 
 
 def test_crossing_pairs_are_vertex_disjoint_and_complete():

@@ -1,21 +1,24 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from geohom import atlas
+from geohom import atlas, morphisms
 from geohom import reference_data as ref
 from geohom.atlas import mask_images, orbit_signature
-from geohom.exact_geometry import chirotope_code, crossing_mask
+from geohom.exact_geometry import chirotope_code, crossing_mask, segments_cross_rational
 from geohom.invariants import crossing_signature
 from geohom.morphisms import VertexMap, injective_geo_homomorphisms, prop_conditions
 from geohom.poset import build_poset, poset_to_json, transitive_reduction
 from geohom.verify import (
     VerificationArtifacts,
+    _even_bipartition,
     check_atlas_counts,
     check_condition_soundness,
     check_cover_pattern,
     check_crossing_histogram,
+    check_invariant_anchors,
     check_non_precedence_facts,
     check_oracle_equivalence,
     check_parity_property,
@@ -224,6 +227,58 @@ def test_parity_property_masks_each_distinct_chirotope_once(monkeypatch):
     assert len(calls) == len(set(codes)) < 10_000
 
 
+def _sampled_codes(count):
+    codes = []
+    for pts in atlas.random_point_sets(20_250_810, 1000):
+        code = chirotope_code(pts)
+        if code is not None:
+            codes.append(code)
+            if len(codes) == count:
+                return codes
+
+
+def test_parity_property_tests_each_mask_once(monkeypatch):
+    # the 4,524 proven masks hold every mask the 10,000 samples draw, so the
+    # default run makes 4,524 x 10 = 45,240 parity tests, none of them twice
+    masks = [crossing_mask(code, 6) for code in set(_sampled_codes(10_000))]
+    assert set(masks) <= set(atlas.proven_classes("k6"))
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return _even_bipartition(mask)
+
+    monkeypatch.setattr("geohom.verify._even_bipartition", counted)
+    result = check_parity_property()
+    assert result.passed, result.detail
+    assert len(calls) * len(atlas.JOINING_MASKS) == 45_240
+    assert len(calls) == len(set(calls)) == len(atlas.proven_classes("k6"))
+
+
+def test_parity_property_tests_sampled_masks_outside_the_proof(monkeypatch):
+    # with no proven masks, each distinct sampled chirotope's mask is tested
+    codes = list(dict.fromkeys(_sampled_codes(1000)))
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return _even_bipartition(mask)
+
+    monkeypatch.setattr("geohom.verify.proven_classes", lambda target: {})
+    monkeypatch.setattr("geohom.verify._even_bipartition", counted)
+    result = check_parity_property(1000)
+    assert result.passed, result.detail
+    assert result.detail.startswith("1000 point sets x 10 bipartitions, and all 0 proven")
+    assert calls == [crossing_mask(code, 6) for code in codes]
+    # and a failing sampled mask outside the proof is named by its points
+    stub = {crossing_mask(code, 6): 0 for code in codes}
+    monkeypatch.setattr("geohom.verify.proven_classes", lambda target: stub)
+    monkeypatch.setattr("geohom.verify.crossing_mask", lambda code, n: 0)
+    result = check_parity_property(1000)
+    assert not result.passed
+    assert result.detail.startswith("even crossing count 0 at points [(")
+
+
 @pytest.fixture(scope="module")
 def session_artifacts(atlases_a, atlases_b, pinned_bundle):
     pinned, poset, mismatches = pinned_bundle
@@ -321,6 +376,62 @@ def test_oracle_equivalence_builds_each_sources_images_once(session_artifacts):
     assert result.passed, result.detail
     info = mask_images.cache_info()
     assert (info.misses, info.hits) == (19, 19 * 19 - 19)
+
+
+def test_oracle_brute_force_builds_each_sources_images_once(
+    session_artifacts, monkeypatch
+):
+    # the brute force maps each of the 19 sources' crossing pairs under its
+    # edge-preserving maps once, for all 19 targets
+    sources = []
+
+    def counted(src, dst_graph):
+        sources.append(src)
+        return crossing_images(src, dst_graph)
+
+    crossing_images = morphisms._crossing_images
+    monkeypatch.setattr("geohom.morphisms._crossing_images", counted)
+    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    assert result.passed, result.detail
+    assert sources == [c.representative for c in session_artifacts.poset.classes]
+
+
+def test_oracle_quadruples_are_the_randrange_stream(session_artifacts, monkeypatch):
+    # the segment pairs are the first 1,000 valid quadruples of
+    # Random(4242).randrange(-60, 61), x before y
+    rng = random.Random(4242)
+    expected = []
+    while len(expected) < 1000:
+        coords = [(rng.randrange(-60, 61), rng.randrange(-60, 61)) for _ in range(4)]
+        if coords[0] != coords[1] and coords[2] != coords[3]:
+            expected.append(coords)
+    seen = []
+
+    def recording(s, t):
+        seen.append([(p.x, p.y) for p in (s.a, s.b, t.a, t.b)])
+        return segments_cross_rational(s, t)
+
+    monkeypatch.setattr("geohom.verify.segments_cross_rational", recording)
+    result = check_oracle_equivalence(session_artifacts)
+    assert result.passed, result.detail
+    assert seen == expected
+
+
+def test_invariant_anchors_fail_on_swapped_labels(session_artifacts):
+    # 3.5/3.6 and 5.4/5.6 swapped: each pair keeps its shared invariants, so
+    # only the tests that split the pairs can catch it
+    swap = {"3.5": "3.6", "3.6": "3.5", "5.4": "5.6", "5.6": "5.4"}
+    pinned = session_artifacts.pinned
+    classes = [replace(c, label=swap.get(c.label, c.label)) for c in pinned.classes]
+    art = replace(session_artifacts, pinned=replace(pinned, classes=classes))
+    assert check_invariant_anchors(session_artifacts).passed
+    result = check_invariant_anchors(art)
+    assert not result.passed
+    assert result.detail == (
+        "3.5 crossing-graph max degree 2 != 3; 3.6 crossing-graph max degree"
+        " 3 != 2; 5.6 crossing graph has no 5-cycle; 5.4 crossing graph"
+        " unexpectedly has a 5-cycle"
+    )
 
 
 def test_thickness_claims_detail(session_artifacts):
