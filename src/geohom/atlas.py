@@ -1,12 +1,15 @@
 """Discovery of all isomorphism classes of drawings of K_{3,3} and K_6.
 
-A drawing is handled as its crossing mask: one bit per vertex-disjoint
-edge pair of K_6 on 0..5 or of K_{3,3} on {0,1,2} | {3,4,5}.  One
-symmetry mechanism serves class identity, the order and the homomorphism
-witnesses: per target, the automorphisms and the bit permutations they
-induce (built on first use).  Two drawings are isomorphic iff one mask
-lies in the other's orbit, and one precedes the other iff some mask of
-its orbit is a subset of the other's.
+A drawing is handled as its crossing mask, in one layout: bit d is pair
+d of ``disjoint_edge_pairs(6)``, as the kernel's ``crossing_mask`` sets
+it, and a drawing of K_{3,3} on {0,1,2} | {3,4,5} sets only the 18 bits
+whose edges both join the parts.  One symmetry mechanism serves class
+identity, the order, the homomorphism witnesses and the line-graph
+condition: per target, the automorphisms and the bit permutations they
+induce (built on first use); the same permutations relabel each
+bipartition's K_{3,3} drawing onto the layout.  Two drawings are
+isomorphic iff one mask lies in the other's orbit, and one precedes the
+other iff some mask of its orbit is a subset of the other's.
 
 Which classes exist is proven, not sampled: ``proven_classes`` takes the
 11,904 labeled chirotopes of six points (``chirotopes_of_six``), their
@@ -172,47 +175,50 @@ _K33_GRAPH = complete_bipartite_graph(3, 3)
 _K33_PARTS = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
 _GRAPHS = {"k33": _K33_GRAPH, "k6": _K6_GRAPH}
 _LAYOUTS = {"k33": "K_{3,3} on {0,1,2} | {3,4,5}", "k6": "K_6 on 0..5"}
-# bit d of a target's crossing mask is the d-th vertex-disjoint edge pair of
-# its graph, in disjoint_edge_pairs(6) order (for K_6 exactly crossing_mask)
-_MASK_PAIRS = {
-    target: tuple(
-        (e, f) for e, f in disjoint_edge_pairs(6) if e in g.edges and f in g.edges
-    )
-    for target, g in _GRAPHS.items()
-}
-_MASK_BIT = {
-    target: {pair: bit for bit, pair in enumerate(pairs)}
-    for target, pairs in _MASK_PAIRS.items()
-}
+_PAIRS = disjoint_edge_pairs(6)
+_PAIR_BIT = {pair: bit for bit, pair in enumerate(_PAIRS)}
 
 
-def _k33_source_bits(first, second) -> tuple[int, ...]:
-    """Per K_{3,3} mask bit: the K_6 mask bit of the same edge pair, with
-    parts first | second relabeled onto {0,1,2} | {3,4,5} in sorted order
-    (as _materialize_k33 relabels the points)."""
-    old = sorted(first) + sorted(second)
+def _permuted_bits(p) -> bytes:
+    """Per mask bit d: the bit of pair d's image when vertex v goes to p[v]."""
 
-    def edge(e):
-        return tuple(sorted((old[e[0]], old[e[1]])))
+    def image(e):
+        a, b = p[e[0]], p[e[1]]
+        return (a, b) if a < b else (b, a)
 
-    return tuple(
-        _MASK_BIT["k6"][ordered_pair(edge(e), edge(f))] for e, f in _MASK_PAIRS["k33"]
-    )
+    return bytes(_PAIR_BIT[ordered_pair(image(e), image(f))] for e, f in _PAIRS)
 
 
-_K33_SOURCE_BITS = tuple(_k33_source_bits(*parts) for parts in bipartitions_of_6())
-# per bipartition of bipartitions_of_6(): the K_6 mask bits whose two edges
-# both join its parts, i.e. the crossings of its K_{3,3} drawing
-JOINING_MASKS = tuple(sum(1 << bit for bit in bits) for bits in _K33_SOURCE_BITS)
+def _apply_rows(rows, mask: int) -> list[int]:
+    """The image of the mask under each row of _permuted_bits."""
+    bits = [d for d in range(mask.bit_length()) if mask >> d & 1]
+    return [sum(1 << row[d] for d in bits) for row in rows]
+
+
+def _joining_mask(first) -> int:
+    """The mask bits whose two edges both join first and its complement."""
+
+    def joins(e):
+        return (e[0] in first) != (e[1] in first)
+
+    return sum(1 << bit for bit, (e, f) in enumerate(_PAIRS) if joins(e) and joins(f))
+
+
+# per bipartition of bipartitions_of_6(): the bits of its K_{3,3} drawing,
+# and its parts relabeled onto {0,1,2} | {3,4,5} as _materialize_k33 does
+JOINING_MASKS = tuple(_joining_mask(first) for first, _ in bipartitions_of_6())
+_RELABEL_ROWS = tuple(
+    _permuted_bits({old: new for new, old in enumerate(sorted(first) + sorted(second))})
+    for first, second in bipartitions_of_6()
+)
+_K33_BITS = _joining_mask(_K33_PARTS[0])
 
 
 def k33_masks(k6_mask: int) -> list[int]:
     """The crossing masks of the ten K_{3,3} drawings (one per bipartition
     of bipartitions_of_6()) within a K_6 drawing with this mask."""
-    return [
-        sum(1 << d for d, bit in enumerate(bits) if k6_mask >> bit & 1)
-        for bits in _K33_SOURCE_BITS
-    ]
+    # row k carries JOINING_MASKS[k] onto _K33_BITS and every other bit off it
+    return [image & _K33_BITS for image in _apply_rows(_RELABEL_ROWS, k6_mask)]
 
 
 def _target_of(r: GeometricRealization) -> str:
@@ -235,15 +241,14 @@ def shared_layout(src: GeometricRealization, dst: GeometricRealization) -> str:
     return target
 
 
-def _mask_of_pairs(target: str, pairs) -> int:
-    bit = _MASK_BIT[target]
-    return sum(1 << bit[pair] for pair in pairs)
+def _mask_of_pairs(pairs) -> int:
+    return sum(1 << _PAIR_BIT[pair] for pair in pairs)
 
 
 def crossing_mask_of(r: GeometricRealization) -> int:
     """The crossing mask of a drawing of K_{3,3} on {0,1,2} | {3,4,5} or of
     K_6 on 0..5 (the vertex layouts every atlas holds)."""
-    return _mask_of_pairs(_target_of(r), r.crossings)
+    return _mask_of_pairs(r.crossings)
 
 
 @cache
@@ -257,23 +262,14 @@ def automorphisms(target: str) -> tuple[tuple[int, ...], ...]:
 def symmetry_table(target: str) -> tuple[bytes, ...]:
     """One row per automorphism of the target graph (720 for K_6, 72 for
     K_{3,3}): row[d] is the mask bit that the edge pair of bit d maps to."""
-    bit = _MASK_BIT[target]
-
-    def image(p, e):
-        return (min(p[e[0]], p[e[1]]), max(p[e[0]], p[e[1]]))
-
-    return tuple(
-        bytes(bit[ordered_pair(image(p, e), image(p, f))] for e, f in _MASK_PAIRS[target])
-        for p in automorphisms(target)
-    )
+    return tuple(_permuted_bits(p) for p in automorphisms(target))
 
 
 @cache
 def mask_images(target: str, mask: int) -> tuple[int, ...]:
     """The image of the mask under each automorphism of the target graph,
     aligned with automorphisms(target); computed once per mask (cached)."""
-    bits = [d for d in range(mask.bit_length()) if mask >> d & 1]
-    return tuple(sum(1 << row[d] for d in bits) for row in symmetry_table(target))
+    return tuple(_apply_rows(symmetry_table(target), mask))
 
 
 def mask_orbit(target: str, mask: int) -> frozenset[int]:
@@ -333,9 +329,7 @@ def orbit_signature(target: str, orbit_key: int) -> InvariantSignature:
     orbit with least mask orbit_key: isomorphic drawings share it, so it
     is computed once per orbit, from the target graph and the edge pairs
     of that mask."""
-    pairs = [
-        pair for bit, pair in enumerate(_MASK_PAIRS[target]) if orbit_key >> bit & 1
-    ]
+    pairs = [pair for bit, pair in enumerate(_PAIRS) if orbit_key >> bit & 1]
     return crossing_signature(_GRAPHS[target], pairs)
 
 
@@ -358,7 +352,7 @@ class _Dedup:
         if hit is not None:
             return hit, False
         candidate = materialize()
-        if _mask_of_pairs(self.target, rational_crossing_structure(candidate)) != mask:
+        if _mask_of_pairs(rational_crossing_structure(candidate)) != mask:
             raise AssertionError(
                 "crossing mask disagrees with the rational predicate"
             )

@@ -106,6 +106,10 @@ def cmd_enumerate(args) -> int:
             if args.graph == "k33"
             else assign_paper_labels(atlas)
         )
+    elif not atlas.classes:
+        # every reader rejects an atlas that holds no class
+        print("0 classes (incomplete); no atlas written")
+        return 2
     try:
         save_atlas(atlas, args.out)
     except OSError as exc:

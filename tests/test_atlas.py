@@ -17,6 +17,7 @@ from geohom.atlas import (
     ConfigError,
     EnumerationConfig,
     UnknownLabel,
+    _UNCROSSED_3K2,
     _materialize_k33,
     _point_sets,
     assign_paper_labels,
@@ -38,6 +39,7 @@ from geohom.exact_geometry import (
     chirotope_code,
     chirotopes_of_six,
     crossing_mask,
+    disjoint_edge_pairs,
     find_general_position_violation,
 )
 from geohom.graph_core import ParseError
@@ -324,6 +326,17 @@ def test_labeling_anchor_conflict(quick_atlas):
         assign_paper_labels(trimmed)
 
 
+def test_broken_anchor_raises_before_any_check(quick_atlas, monkeypatch):
+    # a wrong anchor cannot reach verify's invariant-anchors check: on a
+    # real atlas the labeling itself refuses it
+    monkeypatch.setattr("geohom.atlas._UNCROSSED_P6", _UNCROSSED_3K2)
+    with pytest.raises(
+        AnchorConflict,
+        match="expected two 3-crossing classes with an uncrossed 6-path, found 1",
+    ):
+        assign_paper_labels(quick_atlas)
+
+
 def test_k6_labels_are_provisional():
     atlas = assign_paper_labels(enumerate_classes("k6", quick_cfg()))
     assert all(c.provisional for c in atlas.classes)
@@ -530,10 +543,19 @@ def test_load_rejects_foreign_vertex_layout(quick_labeled):
 
 
 def test_symmetry_tables_permute_mask_bits():
-    for target, rows, bits in (("k6", 720, 45), ("k33", 72, 18)):
+    # one layout: every row permutes the 45 K_6 pairs, and each K_{3,3}
+    # row maps the 18 pairs of K_{3,3} on {0,1,2} | {3,4,5} onto themselves
+    layout = [
+        d
+        for d, pair in enumerate(disjoint_edge_pairs(6))
+        if all((u < 3) != (v < 3) for u, v in pair)
+    ]
+    assert len(layout) == 18
+    for target, rows in (("k6", 720), ("k33", 72)):
         table = symmetry_table(target)
         assert len(table) == len(set(table)) == rows
-        assert all(sorted(row) == list(range(bits)) for row in table)
+        assert all(sorted(row) == list(range(45)) for row in table)
+    assert all(sorted(row[d] for d in layout) == layout for row in symmetry_table("k33"))
 
 
 def test_import_builds_no_symmetry_table():

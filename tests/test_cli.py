@@ -109,7 +109,8 @@ def test_grid_budget_counts_degenerate_draws(tmp_path):
     )
     assert done.returncode == 2, done.stderr
     assert "stopped after 0 samples with 0 of 19 classes" in done.stderr
-    assert json.loads(out.read_text()) == []
+    assert "0 classes (incomplete); no atlas written" in done.stdout
+    assert not out.exists()
 
 
 def test_grid_bound_above_the_limit_is_a_usage_error(tmp_path, capsys):

@@ -5,10 +5,16 @@ from itertools import permutations
 import pytest
 
 from geohom.exact_geometry import Point, find_general_position_violation
-from geohom.graph_core import AbstractGraph, complete_bipartite_graph, complete_graph
+from geohom.graph_core import (
+    AbstractGraph,
+    all_graph_automorphisms,
+    complete_bipartite_graph,
+    complete_graph,
+    line_graph,
+)
+from geohom.invariants import edge_crossing_graph
 from geohom.morphisms import (
     NotApplicable,
-    PropReport,
     VertexMap,
     _edge_preserving_maps,
     _pair_bits,
@@ -18,11 +24,10 @@ from geohom.morphisms import (
     hom_query,
     injective_geo_homomorphisms,
     is_geo_homomorphism,
-    line_graph,
-    line_graph_automorphisms,
     prop_conditions,
 )
 from geohom.atlas import automorphisms
+from geohom.poset import build_poset
 from geohom.realization import (
     crossing_structure,
     make_realization,
@@ -165,7 +170,7 @@ def test_brute_force_reads_no_symmetry_table(cr1, cr3, monkeypatch):
     def forbidden(*args):
         raise AssertionError("brute force read the symmetry code")
 
-    for name in ("automorphisms", "mask_images", "all_graph_automorphisms"):
+    for name in ("automorphisms", "mask_images"):
         monkeypatch.setattr(f"geohom.morphisms.{name}", forbidden)
     monkeypatch.setattr("geohom.atlas.automorphisms", forbidden)
     monkeypatch.setattr("geohom.atlas.mask_images", forbidden)
@@ -263,7 +268,43 @@ def test_line_graph_structure():
     lg = line_graph(complete_bipartite_graph(3, 3))
     assert lg.n == 9
     assert all(d == 4 for d in lg.degrees())
-    assert len(line_graph_automorphisms(complete_bipartite_graph(3, 3))) == 72
+
+
+@pytest.mark.parametrize(
+    "target, graph, count",
+    [("k33", complete_bipartite_graph(3, 3), 72), ("k6", complete_graph(6), 720)],
+)
+def test_line_graph_automorphisms_are_vertex_induced(target, graph, count):
+    # Whitney's theorem on the two layouts: each automorphism of the line
+    # graph is the edge action of a vertex automorphism
+    edges = graph.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    induced = sorted(
+        [index[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges]
+        for p in automorphisms(target)
+    )
+    assert induced == sorted(all_graph_automorphisms(line_graph(graph)))
+    assert len(induced) == count
+
+
+def test_cond3_is_the_order(hom_poset, atlas_k6_a):
+    # cond3 read off the symmetry table agrees with its line-graph
+    # definition and with the order, on all 361 K_{3,3} and 225 K_6 pairs
+    for poset in (hom_poset, build_poset(atlas_k6_a)):
+        reps = [c.representative for c in poset.classes]
+        sigmas = all_graph_automorphisms(line_graph(reps[0].graph))
+        ex = [edge_crossing_graph(r) for r in reps]
+        for i, src in enumerate(reps):
+            for j, dst in enumerate(reps):
+                by_definition = any(
+                    all(
+                        (min(s[a], s[b]), max(s[a], s[b])) in ex[j].edges
+                        for a, b in ex[i].edges
+                    )
+                    for s in sigmas
+                )
+                cond3 = prop_conditions(src, dst).cond3_lex_hom_exists
+                assert cond3 == by_definition == poset.leq[i][j]
 
 
 def test_prop_conditions_identity(cr3):
@@ -301,23 +342,16 @@ def test_prop_conditions_relabel_tolerant(cr3):
 def test_explain_non_precedence(cr3, cr1, cr9):
     certificate = explain_non_precedence(cr9, cr3, "max", "hull")
     assert "cond1_uncrossed_embeds" in certificate.failed_conditions
+    # cond3 fails exactly when no map exists
+    assert "cond3_lex_hom_exists" in certificate.failed_conditions
     payload = certificate.to_dict()
+    assert payload["refuted_candidates"] == 0
     assert payload["result"] == "no-hom"
     assert payload["witnesses"] == []
     assert payload["src"] == "max" and payload["dst"] == "hull"
     json.dumps(payload)
     with pytest.raises(NotApplicable):
         explain_non_precedence(cr1, cr9)
-
-
-def test_exhaustive_certificate_counts_every_automorphism(cr1, cr3, monkeypatch):
-    # no pair of classes needs the exhaustive fallback, so force it
-    monkeypatch.setattr(
-        "geohom.morphisms.prop_conditions", lambda src, dst: PropReport(True, True, True)
-    )
-    certificate = explain_non_precedence(cr3, cr1)
-    assert certificate.failed_conditions == ()
-    assert certificate.refuted_candidates == 72
 
 
 def test_hom_query_shapes(cr1, cr3):
@@ -331,7 +365,7 @@ def test_hom_query_shapes(cr1, cr3):
 
 def test_injective_abstract_hom_count(cr3):
     # the table's rows are exactly the injective maps carrying edges onto
-    # edges, which the certificate counts as its refuted candidates
+    # edges
     edges = cr3.graph.edges
     edge_preserving = [
         p

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from geohom.atlas import (
-    _MASK_BIT,
+    _PAIR_BIT,
     JOINING_MASKS,
     _materialize_k33,
     Atlas,
@@ -246,7 +246,7 @@ def test_atlas_masks_match_crossing_structure(pts):
         }
         k33 = _materialize_k33(pts, first, second)
         assert crossing_structure(k33) == expected
-        assert crossing_mask_of(k33) == sum(1 << _MASK_BIT["k33"][p] for p in expected)
+        assert crossing_mask_of(k33) == sum(1 << _PAIR_BIT[p] for p in expected)
     # k33_masks reads the same ten masks off the K_6 mask
     assert k33_masks(crossing_mask_of(k6)) == [
         crossing_mask_of(_materialize_k33(pts, *parts)) for parts in bipartitions_of_6()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -202,6 +203,18 @@ def test_verify_computes_one_signature_per_class_orbit(monkeypatch):
     results, _ = run_verification()
     assert all(r.passed for r in results), [r.line() for r in results]
     assert len(calls) == ref.K33_CLASS_COUNT + ref.K6_CLASS_COUNT
+
+
+# sha256 of the ten lines a default `geohom verify` prints (seeds 7 and
+# 101), newline-terminated: `python -m geohom verify | sha256sum`
+DEFAULT_VERIFY_DIGEST = "958f3f7f6ba2289e401c4ecbab6cd0d7131b46e1d52db71bf9bdc4c7502d3ab6"
+
+
+def test_default_verify_lines_pinned():
+    results, _ = run_verification()
+    text = "".join(r.line() + "\n" for r in results)
+    assert len(results) == 10
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_VERIFY_DIGEST, text
 
 
 def test_parity_property_masks_each_distinct_chirotope_once(monkeypatch):
