@@ -36,6 +36,11 @@ A class's invariant signature depends only on its orbit:
 orbit's least mask (``orbit_keys`` lists it per proven class), and
 enumeration reads it there.  A loaded atlas is checked against each
 representative's own signature, computed on every load.
+
+Labels follow the paper where invariants fix them: the label anchors are
+one table, ``reference_data.K33_ANCHORS``, read through two readers,
+``anchor_pair`` and ``class_invariant``, by labeling here and by the
+invariant-anchors check in ``verify``.
 """
 
 from __future__ import annotations
@@ -55,17 +60,12 @@ from .exact_geometry import (
     disjoint_edge_pairs,
 )
 from .graph_core import (
-    AbstractGraph,
     ParseError,
     all_graph_automorphisms,
     canonical_label,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
-    empty_graph,
-    matching_graph,
-    path_graph,
     subgraph_embeds,
 )
 from .invariants import (
@@ -525,96 +525,70 @@ def enumerate_classes(target: str, cfg: EnumerationConfig | None = None) -> Atla
 # deterministically by signature order and marked provisional
 # ---------------------------------------------------------------------------
 
-_UNCROSSED_P6 = canonical_label(path_graph(6))
-_UNCROSSED_3K2 = canonical_label(matching_graph(3))
-_UNCROSSED_P4_K2 = canonical_label(disjoint_union(path_graph(4), matching_graph(1)))
-_EX_C4_K2_3K1 = canonical_label(
-    disjoint_union(cycle_graph(4), matching_graph(1), empty_graph(3))
-)
-_EX_P6_3K1 = canonical_label(disjoint_union(path_graph(6), empty_graph(3)))
+# canonical label -> name, for the graphs that ref.K33_ANCHORS names
+_ANCHOR_GRAPH_NAMES = {
+    canonical_label(g): name for name, g in ref.ANCHOR_GRAPHS.items()
+}
+_C5 = cycle_graph(5)
+
+_INVARIANTS = {
+    "uncrossed subgraph": lambda c: _ANCHOR_GRAPH_NAMES.get(c.signature.uncrossed_class),
+    "crossing graph": lambda c: _ANCHOR_GRAPH_NAMES.get(c.signature.ex_class),
+    "crossing-graph max degree": lambda c: max(
+        edge_crossing_graph(c.representative).degrees()
+    ),
+    "crossing graph has a 5-cycle": lambda c: subgraph_embeds(
+        _C5, edge_crossing_graph(c.representative)
+    ),
+    "thickness": lambda c: c.signature.thickness,
+}
 
 
-def _contains_5_cycle(g: AbstractGraph) -> bool:
-    return subgraph_embeds(cycle_graph(5), g)
+def class_invariant(cls: RealizationClass, name: str):
+    """The invariant of the class that an entry of ref.K33_ANCHORS names; a
+    graph reads as its name in ref.ANCHOR_GRAPHS (None if it has none)."""
+    return _INVARIANTS[name](cls)
 
 
-def _pick_unique(candidates: list[int], description: str) -> int:
-    if len(candidates) != 1:
-        raise AnchorConflict(
-            f"anchor '{description}' matched {len(candidates)} classes"
-        )
-    return candidates[0]
+def anchor_pair(
+    classes: list[RealizationClass], level: int, uncrossed: str | None
+) -> list[int]:
+    """Indices of the classes that an entry of ref.K33_ANCHORS labels: those
+    with level crossings and, unless uncrossed is None, that uncrossed
+    subgraph."""
+    return [
+        i
+        for i, c in enumerate(classes)
+        if c.signature.cr == level
+        and uncrossed in (None, class_invariant(c, "uncrossed subgraph"))
+    ]
 
 
 def _anchor_k33(classes: list[RealizationClass]) -> dict[int, str]:
-    """Labels forced by structural anchors, as index -> label."""
+    """Labels forced by the singleton levels and by ref.K33_ANCHORS, as
+    index -> label."""
     anchored: dict[int, str] = {}
     by_cr: dict[int, list[int]] = {}
     for idx, cls in enumerate(classes):
         by_cr.setdefault(cls.signature.cr, []).append(idx)
-
     for cr, indices in by_cr.items():
         if len(indices) == 1:
             anchored[indices[0]] = f"{cr}.1"
 
-    level3 = by_cr.get(3, [])
-    p6_level3 = [
-        i for i in level3 if classes[i].signature.uncrossed_class == _UNCROSSED_P6
-    ]
-    if len(p6_level3) != 2:
-        raise AnchorConflict(
-            f"expected two 3-crossing classes with an uncrossed 6-path,"
-            f" found {len(p6_level3)}"
-        )
-    max_degree = {
-        i: max(edge_crossing_graph(classes[i].representative).degrees())
-        for i in p6_level3
-    }
-    degree3 = [i for i in p6_level3 if max_degree[i] == 3]
-    degree2 = [i for i in p6_level3 if max_degree[i] == 2]
-    anchored[_pick_unique(degree3, "crossing graph with a degree-3 vertex")] = "3.5"
-    anchored[_pick_unique(degree2, "crossing graph with maximum degree 2")] = "3.6"
-
-    level5 = by_cr.get(5, [])
-    anchored[
-        _pick_unique(
-            [i for i in level5 if classes[i].signature.ex_class == _EX_C4_K2_3K1],
-            "crossing graph C4 + K2 + 3 isolated",
-        )
-    ] = "5.1"
-    anchored[
-        _pick_unique(
-            [i for i in level5 if classes[i].signature.ex_class == _EX_P6_3K1],
-            "crossing graph P6 + 3 isolated",
-        )
-    ] = "5.2"
-    p4k2_level5 = [
-        i
-        for i in level5
-        if classes[i].signature.uncrossed_class == _UNCROSSED_P4_K2
-    ]
-    if len(p4k2_level5) != 2:
-        raise AnchorConflict(
-            f"expected two 5-crossing classes with uncrossed P4 + K2,"
-            f" found {len(p4k2_level5)}"
-        )
-    # Within this pair only the 5-cycle test can separate: four uncrossed
-    # edges force a crossing graph with 5 edges on 5 supported vertices,
-    # which is unicyclic, so an acyclic test would match neither class.
-    with_c5 = [
-        i
-        for i in p4k2_level5
-        if _contains_5_cycle(edge_crossing_graph(classes[i].representative))
-    ]
-    other = [i for i in p4k2_level5 if i not in with_c5]
-    anchored[_pick_unique(with_c5, "crossing graph containing a 5-cycle")] = "5.6"
-    anchored[_pick_unique(other, "companion of the 5-cycle class")] = "5.4"
-
-    level7 = by_cr.get(7, [])
-    thickness2 = [i for i in level7 if classes[i].signature.thickness == 2]
-    thickness3 = [i for i in level7 if classes[i].signature.thickness == 3]
-    anchored[_pick_unique(thickness2, "7-crossing class of thickness 2")] = "7.1"
-    anchored[_pick_unique(thickness3, "7-crossing class of thickness 3")] = "7.2"
+    for level, uncrossed, invariants in ref.K33_ANCHORS:
+        pair = anchor_pair(classes, level, uncrossed)
+        if len(pair) != 2:
+            shared = f" with an uncrossed {uncrossed}" if uncrossed else ""
+            raise AnchorConflict(
+                f"expected two {level}-crossing classes{shared}, found {len(pair)}"
+            )
+        for label, (name, value) in invariants.items():
+            match = [i for i in pair if class_invariant(classes[i], name) == value]
+            if len(match) != 1:
+                raise AnchorConflict(
+                    f"anchor {label} ({name} {value}) matched {len(match)} classes"
+                )
+            anchored[match[0]] = label
     return anchored
 
 
@@ -626,9 +600,10 @@ def _label_sort_key(label: str) -> tuple[int, int]:
 def assign_paper_labels(atlas: Atlas) -> Atlas:
     """Label classes as "<cr>.<k>".
 
-    For the complete K_{3,3} atlas, structural anchors pin 3.5/3.6,
-    5.1/5.2, 5.4/5.6 and 7.1/7.2 (and the singleton levels 1.1, 9.1);
-    every other label is assigned within its level by signature order and
+    For the complete K_{3,3} atlas, the singleton levels get 1.1 and 9.1
+    and the anchors of ref.K33_ANCHORS pin 3.5/3.6, 5.1/5.2, 5.4/5.6 and
+    7.1/7.2 (AnchorConflict if one matches no class or several); every
+    other label is assigned within its level by signature order and
     marked provisional.  K_6 classes get purely provisional labels.
     """
     classes = atlas.classes

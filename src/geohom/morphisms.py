@@ -313,4 +313,5 @@ def hom_query(
             "witnesses": [list(f.images) for f in witnesses],
             "failed_conditions": [],
         }
-    return explain_non_precedence(src, dst, src_name, dst_name).to_dict()
+    failed = tuple(prop_conditions(src, dst).failed())
+    return NonPrecedenceCertificate(src_name, dst_name, failed).to_dict()

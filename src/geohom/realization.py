@@ -149,6 +149,13 @@ def realization_from_json(text: str) -> GeometricRealization:
     return realization_from_payload(payload)
 
 
+def _require_ints(field: str, value, items) -> None:
+    """ParseError unless every item is an int; a JSON true or false is not
+    one, though Python's bool subclasses int."""
+    if not all(type(v) is int for v in items):
+        raise ParseError(f"{field} {value!r} holds a non-integer")
+
+
 def realization_from_payload(payload) -> GeometricRealization:
     """The realization of an already parsed JSON value."""
     if not isinstance(payload, dict):
@@ -159,9 +166,13 @@ def realization_from_payload(payload) -> GeometricRealization:
         points = [tuple(p) for p in payload["points"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"realization JSON missing field: {exc}") from exc
+    if type(n) is not int:
+        raise ParseError(f"n {n!r} is not an integer")
+    _require_ints("points", payload["points"], (v for p in points for v in p))
     if parts is not None:
         if len(parts) != 2:
             raise ParseError("parts must hold exactly two vertex lists")
+        _require_ints("parts", parts, (v for part in parts for v in part))
         a, b = (sorted(parts[0]), sorted(parts[1]))
         graph = AbstractGraph.from_edges(
             n, ((u, v) for u in a for v in b)
@@ -169,5 +180,7 @@ def realization_from_payload(payload) -> GeometricRealization:
         return make_realization(graph, points, parts=(a, b))
     if "edges" not in payload:
         raise ParseError("realization JSON needs edges when parts is null")
-    graph = AbstractGraph.from_edges(n, (tuple(e) for e in payload["edges"]))
+    edges = [tuple(e) for e in payload["edges"]]
+    _require_ints("edges", payload["edges"], (v for e in edges for v in e))
+    graph = AbstractGraph.from_edges(n, edges)
     return make_realization(graph, points)

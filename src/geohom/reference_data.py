@@ -1,13 +1,22 @@
 """Reference results for the K_{3,3} atlas and its homomorphism order.
 
-These are the published counts, the level-1-to-level-2 cover pattern,
-and the non-precedence facts with the necessary condition that refutes
-each, stated in terms of the class labels produced by the labeling
-anchors.  The verification suite checks the computed structures against
-them.
+These are the published counts; the label anchors, that is the labels
+that invariants fix, which labeling assigns and the verification suite
+re-checks; the level-1-to-level-2 cover pattern; and the non-precedence
+facts with the necessary condition that refutes each, stated in terms of
+those labels.  The verification suite checks the computed structures
+against them.
 """
 
 from __future__ import annotations
+
+from .graph_core import (
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    matching_graph,
+    path_graph,
+)
 
 K33_CLASS_COUNT = 19
 K6_CLASS_COUNT = 15
@@ -17,6 +26,40 @@ K33_CROSSING_HISTOGRAM = {1: 1, 3: 7, 5: 8, 7: 2, 9: 1}
 
 # sizes of the rank levels 0..4 under rank = cr // 2
 RANK_LEVEL_SIZES = (1, 7, 8, 2, 1)
+
+# the graphs that the anchors below name
+ANCHOR_GRAPHS = {
+    "6-path": path_graph(6),
+    "3K2": matching_graph(3),
+    "P4+K2": disjoint_union(path_graph(4), matching_graph(1)),
+    "C4+K2+3K1": disjoint_union(cycle_graph(4), matching_graph(1), empty_graph(3)),
+    "P6+3K1": disjoint_union(path_graph(6), empty_graph(3)),
+}
+
+# The labels that invariants fix, besides those of the singleton levels
+# (1.1 and 9.1).  Per entry: the level (crossing number); the uncrossed
+# subgraph its two classes share, named in ANCHOR_GRAPHS, or None where
+# the level holds just the two; and per label, the invariant that singles
+# it out (named as atlas.class_invariant reads it) and its value.
+K33_ANCHORS: tuple[tuple[int, str | None, dict[str, tuple[str, object]]], ...] = (
+    (3, "6-path", {
+        "3.5": ("crossing-graph max degree", 3),
+        "3.6": ("crossing-graph max degree", 2),
+    }),
+    (5, "3K2", {
+        "5.1": ("crossing graph", "C4+K2+3K1"),
+        "5.2": ("crossing graph", "P6+3K1"),
+    }),
+    # The paper calls 5.4's crossing graph acyclic, but four uncrossed
+    # edges force a crossing graph with 5 edges on 5 supported vertices,
+    # which is unicyclic (5.4: a 4-cycle with a pendant edge), so only the
+    # 5-cycle test splits this pair.
+    (5, "P4+K2", {
+        "5.4": ("crossing graph has a 5-cycle", False),
+        "5.6": ("crossing graph has a 5-cycle", True),
+    }),
+    (7, None, {"7.1": ("thickness", 2), "7.2": ("thickness", 3)}),
+)
 
 # which 5-crossing classes each 3-crossing class precedes
 LEVEL12_COVER_PATTERN: dict[str, frozenset[str]] = {

@@ -32,7 +32,9 @@ from .atlas import (
     Atlas,
     ConfigError,
     EnumerationConfig,
+    anchor_pair,
     assign_paper_labels,
+    class_invariant,
     crossing_histogram,
     crossing_mask_of,
     enumerate_atlases,
@@ -50,7 +52,6 @@ from .exact_geometry import (
     segments_cross_rational,
 )
 from .graph_core import ParseError
-from .invariants import edge_crossing_graph
 from .morphisms import (
     NotApplicable,
     brute_force_injective_geo_homomorphisms,
@@ -267,7 +268,6 @@ class VerificationArtifacts:
     cover_mismatches: list[tuple[str, str, bool]]
     supplied_atlas_error: str | None = None
     supplied_atlas_count: int | None = None
-    supplied_poset_error: str | None = None
 
 
 def _require_positive(count: int, what: str) -> None:
@@ -451,67 +451,18 @@ def _even_parity(mask: int, k: int, where: str) -> CheckResult:
 
 
 def check_invariant_anchors(art: VerificationArtifacts) -> CheckResult:
-    # expected structures rebuilt from constructors, independent of the
-    # labeling machinery
-    from .graph_core import (
-        canonical_label,
-        cycle_graph,
-        disjoint_union,
-        empty_graph,
-        matching_graph,
-        path_graph,
-        subgraph_embeds,
-    )
-
-    p6_label = canonical_label(path_graph(6))
-    m3_label = canonical_label(matching_graph(3))
-    p4k2_label = canonical_label(disjoint_union(path_graph(4), matching_graph(1)))
-    ex_51 = canonical_label(
-        disjoint_union(cycle_graph(4), matching_graph(1), empty_graph(3))
-    )
-    ex_52 = canonical_label(disjoint_union(path_graph(6), empty_graph(3)))
-
-    def has_5_cycle(label: str) -> bool:
-        return subgraph_embeds(
-            cycle_graph(5),
-            edge_crossing_graph(art.pinned.find(label).representative),
-        )
-
+    """Each pair of ref.K33_ANCHORS carries its two labels, and each label
+    the invariant that singles it out."""
+    classes = art.pinned.classes
     problems = []
-    pinned = art.pinned
-    level3 = [c for c in pinned.classes if c.signature.cr == 3]
-    level5 = [c for c in pinned.classes if c.signature.cr == 5]
-
-    p6 = [c for c in level3 if c.signature.uncrossed_class == p6_label]
-    if sorted(c.label for c in p6) != ["3.5", "3.6"]:
-        problems.append(f"uncrossed-P6 classes are {[c.label for c in p6]}")
-    for label, want in (("3.5", 3), ("3.6", 2)):
-        cls = pinned.find(label)
-        got = max(edge_crossing_graph(cls.representative).degrees())
-        if got != want:
-            problems.append(f"{label} crossing-graph max degree {got} != {want}")
-
-    m3 = [c for c in level5 if c.signature.uncrossed_class == m3_label]
-    if sorted(c.label for c in m3) != ["5.1", "5.2"]:
-        problems.append(f"uncrossed-3K2 classes are {[c.label for c in m3]}")
-    if pinned.find("5.1").signature.ex_class != ex_51:
-        problems.append("5.1 crossing graph is not C4+K2+3K1")
-    if pinned.find("5.2").signature.ex_class != ex_52:
-        problems.append("5.2 crossing graph is not P6+3K1")
-
-    p4k2 = [c for c in level5 if c.signature.uncrossed_class == p4k2_label]
-    if sorted(c.label for c in p4k2) != ["5.4", "5.6"]:
-        problems.append(f"uncrossed-P4+K2 classes are {[c.label for c in p4k2]}")
-    if not has_5_cycle("5.6"):
-        problems.append("5.6 crossing graph has no 5-cycle")
-    if has_5_cycle("5.4"):
-        problems.append("5.4 crossing graph unexpectedly has a 5-cycle")
-
-    note = (
-        "note: the acyclic description of 5.4's crossing graph is"
-        " unsatisfiable (5 crossing pairs over 5 crossed edges force one"
-        " cycle); the pair is split by the 5-cycle test"
-    )
+    for level, uncrossed, invariants in ref.K33_ANCHORS:
+        labels = sorted(classes[i].label for i in anchor_pair(classes, level, uncrossed))
+        if labels != sorted(invariants):
+            problems.append(f"{'/'.join(invariants)} pair is {labels}")
+        for label, (name, value) in invariants.items():
+            got = class_invariant(art.pinned.find(label), name)
+            if got != value:
+                problems.append(f"{label} {name}: {got}, expected {value}")
     if problems:
         return CheckResult("invariant-anchors", False, "; ".join(problems))
     return CheckResult(
@@ -519,7 +470,9 @@ def check_invariant_anchors(art: VerificationArtifacts) -> CheckResult:
         True,
         "P6 pair split by max degree 3 vs 2; 3K2 pair carries the two"
         " stated crossing graphs; P4+K2 pair split by the 5-cycle test"
-        f" ({note})",
+        " (note: the acyclic description of 5.4's crossing graph is"
+        " unsatisfiable (5 crossing pairs over 5 crossed edges force one"
+        " cycle); the pair is split by the 5-cycle test)",
     )
 
 

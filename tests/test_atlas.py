@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import geohom
+from geohom import reference_data as ref
 from geohom.atlas import (
     GRID_BOUND_LIMIT,
     AnchorConflict,
@@ -17,7 +18,6 @@ from geohom.atlas import (
     ConfigError,
     EnumerationConfig,
     UnknownLabel,
-    _UNCROSSED_3K2,
     _materialize_k33,
     _point_sets,
     assign_paper_labels,
@@ -329,12 +329,29 @@ def test_labeling_anchor_conflict(quick_atlas):
 def test_broken_anchor_raises_before_any_check(quick_atlas, monkeypatch):
     # a wrong anchor cannot reach verify's invariant-anchors check: on a
     # real atlas the labeling itself refuses it
-    monkeypatch.setattr("geohom.atlas._UNCROSSED_P6", _UNCROSSED_3K2)
+    (level, _, invariants), *rest = ref.K33_ANCHORS
+    monkeypatch.setattr(
+        "geohom.reference_data.K33_ANCHORS", ((level, "3K2", invariants), *rest)
+    )
     with pytest.raises(
         AnchorConflict,
-        match="expected two 3-crossing classes with an uncrossed 6-path, found 1",
+        match="expected two 3-crossing classes with an uncrossed 3K2, found 1",
     ):
         assign_paper_labels(quick_atlas)
+
+
+def test_anchor_table_is_well_formed():
+    # distinct labels, each on its entry's level, named invariants and
+    # graphs; with the singleton levels: the anchored set of test_labeling
+    labels = [label for _, _, invariants in ref.K33_ANCHORS for label in invariants]
+    assert len(labels) == len(set(labels)) == 2 * len(ref.K33_ANCHORS)
+    for level, uncrossed, invariants in ref.K33_ANCHORS:
+        assert uncrossed is None or uncrossed in ref.ANCHOR_GRAPHS
+        assert all(label.split(".")[0] == str(level) for label in invariants)
+    singletons = {f"{cr}.1" for cr, n in ref.K33_CROSSING_HISTOGRAM.items() if n == 1}
+    assert singletons | set(labels) == {
+        "1.1", "3.5", "3.6", "5.1", "5.2", "5.4", "5.6", "7.1", "7.2", "9.1"
+    }
 
 
 def test_k6_labels_are_provisional():
@@ -396,14 +413,29 @@ def test_load_rejects_malformed(tmp_path):
         ("label", 3, "is neither null nor a string"),
         ("provisional", "no", "is not a bool"),
         ("provisional", 0, "is not a bool"),
+        # JSON booleans are not integers, though Python's bool is an int
+        ("representative/n", True, "is not an integer"),
+        ("representative/n", 6.0, "is not an integer"),
+        (
+            "representative/points",
+            [[0, True], [5, 0], [0, 5], [7, 7], [3, 9], [9, 2]],
+            "holds a non-integer",
+        ),
+        ("representative/parts", [[False, True, 2], [3, 4, 5]], "holds a non-integer"),
+        ("representative/parts", [[0, 1, 2.0], [3, 4, 5]], "holds a non-integer"),
     ],
 )
 def test_load_rejects_malformed_fields(quick_labeled, field, value, problem):
+    # field is a record field, or a path to a field of its representative
     records = json.loads(atlas_to_json(quick_labeled))
-    records[2][field] = value
+    *outer, name = field.split("/")
+    holder = records[2]
+    for key in outer:
+        holder = holder[key]
+    holder[name] = value
     with pytest.raises(ParseError) as info:
         atlas_from_json(json.dumps(records))
-    assert str(info.value) == f"record 2: {field} {value!r} {problem}"
+    assert str(info.value) == f"record 2: {name} {value!r} {problem}"
 
 
 def test_load_rejects_repeated_class(quick_labeled):

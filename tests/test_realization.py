@@ -218,3 +218,8 @@ def test_json_parse_errors():
         realization_from_json('{"n": 3, "parts": null, "points": [[0,0],[1,0],[0,1]]}')
     with pytest.raises(ParseError):
         realization_from_json('{"n": 3, "points": [[0,0],[1,0],[0,1]]}')
+    with pytest.raises(ParseError, match=r"edges \[\[0, 1\], \[True, 2\]\] holds a non-integer"):
+        realization_from_json(
+            '{"n": 3, "parts": null, "points": [[0,0],[4,0],[0,4]],'
+            ' "edges": [[0,1],[true,2]]}'
+        )

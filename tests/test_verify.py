@@ -441,9 +441,22 @@ def test_invariant_anchors_fail_on_swapped_labels(session_artifacts):
     result = check_invariant_anchors(art)
     assert not result.passed
     assert result.detail == (
-        "3.5 crossing-graph max degree 2 != 3; 3.6 crossing-graph max degree"
-        " 3 != 2; 5.6 crossing graph has no 5-cycle; 5.4 crossing graph"
-        " unexpectedly has a 5-cycle"
+        "3.5 crossing-graph max degree: 2, expected 3; 3.6 crossing-graph max"
+        " degree: 3, expected 2; 5.4 crossing graph has a 5-cycle: True,"
+        " expected False; 5.6 crossing graph has a 5-cycle: False, expected True"
+    )
+
+
+def test_invariant_anchors_fail_on_swapped_thickness_labels(session_artifacts):
+    # 7.1/7.2 swapped: the pair is still level 7, only thickness splits it
+    swap = {"7.1": "7.2", "7.2": "7.1"}
+    pinned = session_artifacts.pinned
+    classes = [replace(c, label=swap.get(c.label, c.label)) for c in pinned.classes]
+    art = replace(session_artifacts, pinned=replace(pinned, classes=classes))
+    result = check_invariant_anchors(art)
+    assert not result.passed
+    assert result.detail == (
+        "7.1 thickness: 3, expected 2; 7.2 thickness: 2, expected 3"
     )
 
 
