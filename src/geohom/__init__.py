@@ -31,10 +31,8 @@ from .invariants import (
     uncrossed_subgraph,
 )
 from .morphisms import (
-    NotApplicable,
     PropReport,
     VertexMap,
-    explain_non_precedence,
     injective_geo_homomorphisms,
     is_geo_homomorphism,
     prop_conditions,

@@ -8,8 +8,10 @@ identity, the order, the homomorphism witnesses and the line-graph
 condition: per target, the automorphisms and the bit permutations they
 induce (built on first use); the same permutations relabel each
 bipartition's K_{3,3} drawing onto the layout.  Two drawings are
-isomorphic iff one mask lies in the other's orbit, and one precedes the
-other iff some mask of its orbit is a subset of the other's.
+isomorphic iff one mask lies among the other's images
+(``mask_images``), and one precedes the other iff some image of its mask
+is a subset of the other's (``carries``): the one precedence test, which
+the order and the line-graph condition read.
 
 Which classes exist is proven, not sampled: ``proven_classes`` takes the
 11,904 labeled chirotopes of six points (``chirotopes_of_six``), their
@@ -272,9 +274,16 @@ def mask_images(target: str, mask: int) -> tuple[int, ...]:
     return tuple(_apply_rows(symmetry_table(target), mask))
 
 
-def mask_orbit(target: str, mask: int) -> frozenset[int]:
-    """Every mask of a drawing isomorphic to one with this mask."""
-    return frozenset(mask_images(target, mask))
+def carries(target: str, mask: int, into: int) -> bool:
+    """True iff some automorphism of the target graph carries the mask into
+    the mask ``into``: some image of it is a subset of ``into``.  For two
+    drawings on the layout this is the one precedence test: a
+    vertex-injective homomorphism between them exists iff it holds."""
+    missing = ~into
+    for image in mask_images(target, mask):
+        if not image & missing:
+            return True
+    return False
 
 
 @cache
@@ -735,7 +744,7 @@ def atlas_from_json(text: str) -> Atlas:
             target = record_target
         elif target != record_target:
             raise ParseError(f"{where}: mixed targets in one atlas")
-        orbit_key = min(mask_orbit(target, crossing_mask_of(rep)))
+        orbit_key = min(mask_images(target, crossing_mask_of(rep)))
         if orbit_key in first_of_class:
             raise ParseError(
                 f"{where}: same class as record {first_of_class[orbit_key]}"

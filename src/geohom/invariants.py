@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .graph_core import (
     AbstractGraph,
+    ParseError,
     TwoColoredGraph,
     canonical_label,
     canonical_two_colored_label,
@@ -151,9 +152,18 @@ def signature_to_dict(sig: InvariantSignature) -> dict:
 
 
 def signature_from_dict(payload: dict) -> InvariantSignature:
+    """The signature of a parsed JSON value; ParseError unless cr,
+    thickness and each per_edge entry are ints (a JSON true or 2.0 is
+    not one, though it compares equal to one)."""
+    for key in ("cr", "thickness"):
+        if type(payload[key]) is not int:
+            raise ParseError(f"{key} {payload[key]!r} is not an integer")
+    per_edge = payload["per_edge"]
+    if not isinstance(per_edge, list) or not all(type(v) is int for v in per_edge):
+        raise ParseError(f"per_edge {per_edge!r} holds a non-integer")
     return InvariantSignature(
         cr=payload["cr"],
-        per_edge_cr_multiset=tuple(payload["per_edge"]),
+        per_edge_cr_multiset=tuple(per_edge),
         uncrossed_class=bytes.fromhex(payload["uncrossed_class"]),
         ex_class=bytes.fromhex(payload["ex_class"]),
         lex_class=bytes.fromhex(payload["lex_class"]),

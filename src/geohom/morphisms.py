@@ -16,9 +16,10 @@ two masks.
 
 The three necessary conditions for a vertex-injective homomorphism
 (uncrossed pullback, injective embedding of crossing graphs, and a
-line-graph automorphism carrying crossings to crossings) serve as
-machine-checkable certificates for non-precedence; the third is read
-off the symmetry table too (see prop_conditions).
+line-graph automorphism carrying crossings to crossings) are the
+certificate of a ``hom`` query that finds no map (``hom_query``).  The
+third is the order's own test, ``atlas.carries`` (see prop_conditions),
+so it fails on every such query.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 
-from .atlas import automorphisms, crossing_mask_of, mask_images, shared_layout
+from .atlas import automorphisms, carries, crossing_mask_of, mask_images, shared_layout
 from .graph_core import AbstractGraph, subgraph_embeds
 from .invariants import (
     edge_crossing_graph,
@@ -40,10 +41,6 @@ from .realization import (
     crossing_structure,
     ordered_pair,
 )
-
-
-class NotApplicable(ValueError):
-    """A non-precedence certificate was requested but a homomorphism exists."""
 
 
 @dataclass(frozen=True)
@@ -239,62 +236,15 @@ def prop_conditions(
            automorphism).  By Whitney's theorem every automorphism of
            L(K_{3,3}) and of L(K_6) is induced by a vertex automorphism,
            so cond3 is read off the symmetry table: it holds iff some
-           automorphism carries src's crossing mask into dst's, that is
-           iff a vertex-injective homomorphism exists.
+           automorphism carries src's crossing mask into dst's
+           (``carries``, the order's own test), that is iff a
+           vertex-injective homomorphism exists.
     """
     target = shared_layout(src, dst)
     cond1 = subgraph_embeds(uncrossed_subgraph(dst), uncrossed_subgraph(src))
     cond2 = subgraph_embeds(edge_crossing_graph(src), edge_crossing_graph(dst))
-    missing = ~crossing_mask_of(dst)
-    cond3 = any(
-        not image & missing
-        for image in mask_images(target, crossing_mask_of(src))
-    )
+    cond3 = carries(target, crossing_mask_of(src), crossing_mask_of(dst))
     return PropReport(cond1, cond2, cond3)
-
-
-# ---------------------------------------------------------------------------
-# certificates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NonPrecedenceCertificate:
-    """Why no vertex-injective homomorphism src -> dst exists."""
-
-    src: str
-    dst: str
-    failed_conditions: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "result": "no-hom",
-            "witnesses": [],
-            "failed_conditions": list(self.failed_conditions),
-            # no candidate map is ever refuted one by one: cond3 fails
-            # whenever no map exists; kept for the certificate format
-            "refuted_candidates": 0,
-        }
-
-
-def explain_non_precedence(
-    src: GeometricRealization,
-    dst: GeometricRealization,
-    src_name: str = "src",
-    dst_name: str = "dst",
-) -> NonPrecedenceCertificate:
-    """Certificate for the absence of injective homomorphisms src -> dst:
-    every failed necessary condition.  cond3 is always among them, since
-    it fails exactly when no map exists (see prop_conditions); cond1 and
-    cond2 name the structural reason when they fail too.
-    """
-    if injective_geo_homomorphisms(src, dst):
-        raise NotApplicable(
-            f"{src_name} precedes {dst_name}; nothing to explain"
-        )
-    failed = tuple(prop_conditions(src, dst).failed())
-    return NonPrecedenceCertificate(src_name, dst_name, failed)
 
 
 def hom_query(
@@ -303,15 +253,20 @@ def hom_query(
     src_name: str = "src",
     dst_name: str = "dst",
 ) -> dict:
-    """Witness list when homomorphisms exist, else the certificate dict."""
-    witnesses = injective_geo_homomorphisms(src, dst)
-    if witnesses:
-        return {
-            "src": src_name,
-            "dst": dst_name,
-            "result": "hom",
-            "witnesses": [list(f.images) for f in witnesses],
-            "failed_conditions": [],
-        }
-    failed = tuple(prop_conditions(src, dst).failed())
-    return NonPrecedenceCertificate(src_name, dst_name, failed).to_dict()
+    """The certificate of a query: the witness list when homomorphisms
+    exist, else every failed necessary condition.  cond3 is always among
+    them, since it fails exactly when no map exists (see prop_conditions);
+    cond1 and cond2 name the structural reason when they fail too."""
+    witnesses = [list(f.images) for f in injective_geo_homomorphisms(src, dst)]
+    payload = {
+        "src": src_name,
+        "dst": dst_name,
+        "result": "hom" if witnesses else "no-hom",
+        "witnesses": witnesses,
+        "failed_conditions": [] if witnesses else prop_conditions(src, dst).failed(),
+    }
+    if not witnesses:
+        # no candidate map is ever refuted one by one: cond3 fails
+        # whenever no map exists; kept for the certificate format
+        payload["refuted_candidates"] = 0
+    return payload

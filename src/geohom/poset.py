@@ -4,7 +4,7 @@ Class i precedes class j when some vertex-injective map preserving
 adjacencies and crossings carries the representative of i into that of
 j.  Between drawings of one graph on six vertices such a map is an
 automorphism of the graph, so the order is read off the crossing masks
-and their orbits under the atlas symmetry tables.  On isomorphism
+by the atlas's one precedence test, ``carries``.  On isomorphism
 classes it is a partial order; the module computes it, takes its
 transitive reduction, and checks gradedness, lattice failure, and the
 unique maximum.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .atlas import Atlas, RealizationClass, crossing_mask_of, mask_orbit
+from .atlas import Atlas, RealizationClass, carries, crossing_mask_of
 
 
 @dataclass
@@ -66,13 +66,12 @@ def poset_from_leq(
 
 
 def build_poset(atlas: Atlas) -> HomPoset:
-    """Class i precedes class j iff some mask in the orbit of i's crossing
-    mask is a subset of j's."""
+    """Class i precedes class j iff some automorphism carries i's crossing
+    mask into j's (``carries``); each mask is computed once per class."""
     classes = atlas.classes
     n = len(classes)
     masks = [crossing_mask_of(c.representative) for c in classes]
-    orbits = [mask_orbit(atlas.target, x) for x in masks]
-    leq = [[any(not o & ~x_j for o in orbit) for x_j in masks] for orbit in orbits]
+    leq = [[carries(atlas.target, x_i, x_j) for x_j in masks] for x_i in masks]
     for i in range(n):
         for j in range(n):
             if i != j and leq[i][j] and leq[j][i]:

@@ -36,7 +36,6 @@ from geohom.graph_core import (
 from geohom.invariants import edge_crossing_graph
 from geohom.morphisms import (
     brute_force_injective_geo_homomorphisms,
-    explain_non_precedence,
     injective_geo_homomorphisms,
     prop_conditions,
 )
@@ -211,8 +210,6 @@ def test_criterion_6_non_precedence_facts(pinned_atlas):
         assert condition in report_obj.failed(), (
             f"{src_label} -> {dst_label}: expected {condition} to fail"
         )
-        certificate = explain_non_precedence(src, dst, src_label, dst_label)
-        assert condition in certificate.failed_conditions
     report(
         "criterion-6 non-precedence facts",
         f"all {len(ref.NON_PRECEDENCE_FACTS)} stated pairs have zero"

@@ -28,7 +28,7 @@ from geohom.atlas import (
     enumerate_atlases,
     enumerate_classes,
     load_atlas,
-    mask_orbit,
+    mask_images,
     proven_class_count,
     proven_classes,
     save_atlas,
@@ -166,7 +166,10 @@ def test_k33_discovery_counts_match_a_per_sample_count():
     with pytest.raises(BudgetExhausted) as info:
         enumerate_classes("k33", cfg)
     classes = info.value.atlas.classes
-    orbits = [mask_orbit("k33", crossing_mask_of(c.representative)) for c in classes]
+    orbits = [
+        frozenset(mask_images("k33", crossing_mask_of(c.representative)))
+        for c in classes
+    ]
     counts = [0] * len(classes)
     samples = 0
     for pts in _point_sets(cfg):
@@ -423,6 +426,10 @@ def test_load_rejects_malformed(tmp_path):
         ),
         ("representative/parts", [[False, True, 2], [3, 4, 5]], "holds a non-integer"),
         ("representative/parts", [[0, 1, 2.0], [3, 4, 5]], "holds a non-integer"),
+        # each would pass the signature comparison, as True == 1 == 1.0
+        ("signature/cr", True, "is not an integer"),
+        ("signature/thickness", 2.0, "is not an integer"),
+        ("signature/per_edge", [1.0, 1, 1, 1, 1, 0, 0, 0, 0], "holds a non-integer"),
     ],
 )
 def test_load_rejects_malformed_fields(quick_labeled, field, value, problem):
@@ -521,7 +528,10 @@ def test_exhaustive_chirotopes_and_classes():
         for mask, cls in proven_classes(target).items():
             by_class.setdefault(cls, set()).add(mask)
         assert sorted(by_class) == list(range(len(by_class)))
-        assert all(mask_orbit(target, min(orbit)) == orbit for orbit in by_class.values())
+        assert all(
+            frozenset(mask_images(target, min(orbit))) == orbit
+            for orbit in by_class.values()
+        )
 
 
 def test_sampled_class_outside_the_proof_is_an_error(monkeypatch):

@@ -219,18 +219,31 @@ def test_non_utf8_file_is_an_error(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("field, value", [("discovery_count", "x"), ("label", ["a"])])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("discovery_count", "x"),
+        ("label", ["a"]),
+        # true compares equal to the 1-crossing class's stored cr of 1
+        ("signature/cr", True),
+    ],
+)
 def test_malformed_record_is_an_error(field, value, tmp_path, capsys):
     atlas = tmp_path / "atlas.json"
     run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])
     records = json.loads(atlas.read_text())
-    records[0][field] = value
+    *outer, name = field.split("/")
+    holder = records[0]
+    for key in outer:
+        holder = holder[key]
+    holder[name] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(records))
-    capsys.readouterr()
-    assert run(["hom", "3.1", "5.1", "--atlas", str(bad)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: record 0: {field} ")
+    for argv in (["hom", "3.1", "5.1"], ["poset"]):
+        capsys.readouterr()
+        assert run([*argv, "--atlas", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: record 0: {name} ")
 
 
 def test_repeated_class_is_an_error(tmp_path, capsys):

@@ -14,13 +14,11 @@ from geohom.graph_core import (
 )
 from geohom.invariants import edge_crossing_graph
 from geohom.morphisms import (
-    NotApplicable,
     VertexMap,
     _edge_preserving_maps,
     _pair_bits,
     brute_force_injective_geo_homomorphisms,
     brute_force_witness_lists,
-    explain_non_precedence,
     hom_query,
     injective_geo_homomorphisms,
     is_geo_homomorphism,
@@ -339,25 +337,28 @@ def test_prop_conditions_relabel_tolerant(cr3):
             prop_conditions(src, dst)
 
 
-def test_explain_non_precedence(cr3, cr1, cr9):
-    certificate = explain_non_precedence(cr9, cr3, "max", "hull")
-    assert "cond1_uncrossed_embeds" in certificate.failed_conditions
-    # cond3 fails exactly when no map exists
-    assert "cond3_lex_hom_exists" in certificate.failed_conditions
-    payload = certificate.to_dict()
-    assert payload["refuted_candidates"] == 0
+def test_hom_query_no_hom_payload(cr3, cr1, cr9):
+    payload = hom_query(cr9, cr3, "max", "hull")
+    assert list(payload) == [
+        "src", "dst", "result", "witnesses", "failed_conditions", "refuted_candidates"
+    ]
+    assert payload["src"] == "max" and payload["dst"] == "hull"
     assert payload["result"] == "no-hom"
     assert payload["witnesses"] == []
-    assert payload["src"] == "max" and payload["dst"] == "hull"
+    assert "cond1_uncrossed_embeds" in payload["failed_conditions"]
+    # cond3 fails exactly when no map exists
+    assert "cond3_lex_hom_exists" in payload["failed_conditions"]
+    assert payload["refuted_candidates"] == 0
     json.dumps(payload)
-    with pytest.raises(NotApplicable):
-        explain_non_precedence(cr1, cr9)
 
 
 def test_hom_query_shapes(cr1, cr3):
     found = hom_query(cr1, cr3, "a", "b")
+    # only a no-hom payload carries refuted_candidates
+    assert list(found) == ["src", "dst", "result", "witnesses", "failed_conditions"]
     assert found["result"] == "hom"
     assert found["witnesses"]
+    assert found["failed_conditions"] == []
     refused = hom_query(cr3, cr1, "b", "a")
     assert refused["result"] == "no-hom"
     assert refused["failed_conditions"]

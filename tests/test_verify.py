@@ -123,11 +123,41 @@ def test_poset_file_validation(tmp_path, hom_poset):
             "a Hasse edge is not a pair of indices below 19",
         ),
         ("labels", 5, "labels is not a list of strings"),
+        (
+            "leq",
+            [[2 * v for v in row] for row in good["leq"]],
+            "leq holds an entry other than 0 and 1",
+        ),
+        (
+            "hasse_edges",
+            [[True if i == 1 else i for i in e] for e in good["hasse_edges"]],
+            "a Hasse edge is not a pair of indices below 19",
+        ),
+        ("cr", good["cr"][1:], "cr does not have 19 entries"),
     ):
         bad_path.write_text(json.dumps({**good, field: value}))
         result = check_poset_structure(art, bad_path)
         assert not result.passed
         assert result.detail == f"supplied poset: {problem}"
+
+    # the per-class fields must be the rebuilt order's, as ints
+    assert good["labels"][:2] == ["1.1", "3.1"]
+    assert (good["rank"][:2], good["cr"][:2]) == ([0, 1], [1, 3])
+    assert good["thickness"][0] == 2
+    for field, value, problem in (
+        ("rank", [0] * 19, "rank differs at 3.1: 0, expected 1"),
+        ("rank", ["x"] * 19, "rank differs at 1.1: 'x', expected 0"),
+        ("cr", [3] * 19, "cr differs at 1.1: 3, expected 1"),
+        (
+            "thickness",
+            [float(t) for t in good["thickness"]],
+            "thickness differs at 1.1: 2.0, expected 2",
+        ),
+    ):
+        bad_path.write_text(json.dumps({**good, field: value}))
+        result = check_poset_structure(art, bad_path)
+        assert not result.passed
+        assert result.detail == f"supplied poset {problem}"
 
 
 def test_build_artifacts_samples_each_seed_once(monkeypatch):
@@ -207,7 +237,7 @@ def test_verify_computes_one_signature_per_class_orbit(monkeypatch):
 
 # sha256 of the ten lines a default `geohom verify` prints (seeds 7 and
 # 101), newline-terminated: `python -m geohom verify | sha256sum`
-DEFAULT_VERIFY_DIGEST = "958f3f7f6ba2289e401c4ecbab6cd0d7131b46e1d52db71bf9bdc4c7502d3ab6"
+DEFAULT_VERIFY_DIGEST = "f0ca690cc872d7017b792230438e8d8cf6b4e00d3bb21f8c34ac7b2ed6fc3e77"
 
 
 def test_default_verify_lines_pinned():
@@ -494,6 +524,22 @@ def test_non_precedence_certificates_fail_on_a_related_fact(session_artifacts):
     result = check_non_precedence_facts(art)
     assert not result.passed
     assert result.detail == f"{src} precedes {dst}"
+
+
+def test_non_precedence_facts_run_no_witness_search(session_artifacts, monkeypatch):
+    # the order already says each fact's pair is unrelated; the check reads
+    # it and the necessary conditions, and searches for no map again
+    calls = []
+    search = morphisms.injective_geo_homomorphisms
+
+    def counted(src, dst):
+        calls.append((src, dst))
+        return search(src, dst)
+
+    monkeypatch.setattr(morphisms, "injective_geo_homomorphisms", counted)
+    monkeypatch.setattr("geohom.verify.injective_geo_homomorphisms", counted)
+    assert check_non_precedence_facts(session_artifacts).passed
+    assert calls == []
 
 
 def test_condition_soundness_names_the_failing_related_pair(
