@@ -14,7 +14,6 @@ import json
 import sys
 from functools import cache
 
-from . import reference_data as ref
 from .atlas import (
     Atlas,
     BudgetExhausted,
@@ -25,7 +24,6 @@ from .atlas import (
     atlas_to_json,
     crossing_histogram,
     enumerate_classes,
-    load_atlas,
     save_atlas,
 )
 from .graph_core import ParseError
@@ -35,7 +33,7 @@ from .invariants import (
 )
 from .morphisms import hom_query
 from .poset import hasse_to_dot, poset_to_json
-from .verify import pin_reference_labels, run_verification
+from .verify import load_k33_atlas, pin_reference_labels, run_verification
 
 
 def _add_enumeration_flags(parser: argparse.ArgumentParser) -> None:
@@ -76,17 +74,11 @@ def _histogram_text(atlas: Atlas) -> str:
 def _pinned(args):
     """Load or build a complete k33 atlas and pin its labels: the pinned
     atlas, its order and the cover mismatches."""
-    if getattr(args, "atlas", None):
-        atlas = load_atlas(args.atlas)
-        if atlas.target != "k33":
-            raise ParseError("label queries need a k33 atlas")
-        if len(atlas.classes) != ref.K33_CLASS_COUNT:
-            raise ParseError(
-                f"label queries need the complete k33 atlas of {ref.K33_CLASS_COUNT}"
-                f" classes, got {len(atlas.classes)}"
-            )
-    else:
-        atlas = enumerate_classes("k33", _config_from(args))
+    atlas = (
+        load_k33_atlas(args.atlas)
+        if getattr(args, "atlas", None)
+        else enumerate_classes("k33", _config_from(args))
+    )
     return pin_reference_labels(atlas)
 
 

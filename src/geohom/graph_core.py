@@ -1,10 +1,11 @@
 """Abstract (non-geometric) graph utilities for graphs of at most ~16 vertices.
 
-Everything is exact and exhaustive: backtracking isomorphism, injective
-subgraph embedding, branch-and-bound chromatic number, and a canonical
-form based on iterated partition refinement with individualization.  No
-heuristics, no external graph libraries, so results are reproducible
-bit for bit.
+Everything is exact and exhaustive.  One search over injective vertex maps
+that carry edges into edges serves subgraph embedding, isomorphism and
+automorphisms; a backtracking search gives the chromatic number; and a
+canonical form rests on iterated partition refinement with
+individualization.  No heuristics, no external graph libraries, so results
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -148,171 +149,129 @@ def disjoint_union(*graphs: AbstractGraph) -> AbstractGraph:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search (exact: edges and non-edges both preserved)
+# injective maps that carry edges into edges: embeddings, isomorphisms and
+# automorphisms are all read off one search
 # ---------------------------------------------------------------------------
 
-def _colored_matrix(n, *edge_sets) -> list[list[int]]:
-    """Symmetric matrix of pair colors; edge set k gets color k+1."""
-    m = [[0] * n for _ in range(n)]
-    for color, edges in enumerate(edge_sets, start=1):
-        for u, v in edges:
-            m[u][v] = color
-            m[v][u] = color
-    return m
+def _embeddings(g_colors, h_colors):
+    """Yield every injective vertex map of g into h (vertex v goes to
+    images[v]) that carries each color class of g into the same class of h.
+
+    g_colors and h_colors hold one graph per color, all on the vertex set
+    of g and of h respectively.  Vertices of high total degree are placed
+    first; an image must have at least the total degree of its vertex and
+    be adjacent, in each color, to the images of the placed neighbours.
+    """
+    n, m = g_colors[0].n, h_colors[0].n
+    if n == 0:
+        yield []
+        return
+    deg_g = [sum(d) for d in zip(*(g.degrees() for g in g_colors))]
+    deg_h = [sum(d) for d in zip(*(h.degrees() for h in h_colors))]
+    order = sorted(range(n), key=lambda v: (-deg_g[v], v))
+    # at_least[d]: the h-vertices of total degree d or more
+    at_least = [0] * (max(deg_g) + 1)
+    for w, d in enumerate(deg_h):
+        at_least[min(d, len(at_least) - 1)] |= 1 << w
+    for d in reversed(range(len(at_least) - 1)):
+        at_least[d] |= at_least[d + 1]
+    # per depth: the images of large enough degree, and (placed neighbour,
+    # its color's h-neighbour masks) for each edge back to an earlier depth
+    allowed = [at_least[deg_g[v]] for v in order]
+    depth = {v: i for i, v in enumerate(order)}
+    back = [[] for _ in order]
+    for g, h in zip(g_colors, h_colors):
+        masks = [0] * m
+        for a, b in h.edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        for u, v in g.edges:
+            if depth[u] > depth[v]:
+                u, v = v, u
+            back[depth[v]].append((u, masks))
+
+    free = (1 << m) - 1
+    images = [0] * n
+    candidates = [free & allowed[0]] + [0] * (n - 1)
+    i = 0
+    while i >= 0:
+        left = candidates[i]
+        if not left:
+            i -= 1
+            if i >= 0:
+                free |= 1 << images[order[i]]
+            continue
+        low = left & -left
+        candidates[i] = left ^ low
+        images[order[i]] = low.bit_length() - 1
+        if i + 1 == n:
+            yield images.copy()
+            continue
+        free ^= low
+        i += 1
+        mask = free & allowed[i]
+        for u, masks in back[i]:
+            mask &= masks[images[u]]
+        candidates[i] = mask
 
 
-def _colored_isomorphisms(n1, m1, n2, m2, find_all: bool):
-    """Bijections 0..n-1 -> 0..n-1 matching pair colors exactly."""
-    if n1 != n2:
-        return []
-    n = n1
-    profile1 = [tuple(sorted(m1[v])) for v in range(n)]
-    profile2 = [tuple(sorted(m2[v])) for v in range(n)]
-    if sorted(profile1) != sorted(profile2):
-        return []
-    order = sorted(range(n), key=lambda v: (profile1[v], v))
-    found: list[list[int]] = []
-    images = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            found.append(images.copy())
-            return not find_all
-        v = order[i]
-        row = m1[v]
-        for w in range(n):
-            if used[w] or profile2[w] != profile1[v]:
-                continue
-            if any(m2[w][images[order[j]]] != row[order[j]] for j in range(i)):
-                continue
-            images[v] = w
-            used[w] = True
-            if extend(i + 1):
-                return True
-            used[w] = False
-        images[v] = -1
-        return False
-
-    extend(0)
-    return found
+def _isomorphism(g_colors, h_colors) -> list[int] | None:
+    """The first map of g into h once the vertex counts and the per-color
+    edge counts agree; it is then a bijection onto every color class."""
+    if [(g.n, g.m) for g in g_colors] != [(h.n, h.m) for h in h_colors]:
+        return None
+    return next(_embeddings(g_colors, h_colors), None)
 
 
 def graph_isomorphism(g: AbstractGraph, h: AbstractGraph) -> list[int] | None:
     """A vertex bijection carrying edges exactly onto edges, or None."""
-    if g.n != h.n or g.m != h.m:
-        return None
-    maps = _colored_isomorphisms(
-        g.n, _colored_matrix(g.n, g.edges), h.n, _colored_matrix(h.n, h.edges),
-        find_all=False,
-    )
-    return maps[0] if maps else None
-
-
-def all_graph_automorphisms(g: AbstractGraph) -> list[list[int]]:
-    m = _colored_matrix(g.n, g.edges)
-    return _colored_isomorphisms(g.n, m, g.n, m, find_all=True)
+    return _isomorphism((g,), (h,))
 
 
 def two_colored_isomorphism(
     g: TwoColoredGraph, h: TwoColoredGraph
 ) -> list[int] | None:
     """Bijection preserving both color classes exactly, or None."""
-    if g.n != h.n:
-        return None
-    if len(g.solid_edges) != len(h.solid_edges):
-        return None
-    if len(g.dashed_edges) != len(h.dashed_edges):
-        return None
-    maps = _colored_isomorphisms(
-        g.n,
-        _colored_matrix(g.n, g.solid_edges, g.dashed_edges),
-        h.n,
-        _colored_matrix(h.n, h.solid_edges, h.dashed_edges),
-        find_all=False,
+    return _isomorphism(
+        (AbstractGraph(g.n, g.solid_edges), AbstractGraph(g.n, g.dashed_edges)),
+        (AbstractGraph(h.n, h.solid_edges), AbstractGraph(h.n, h.dashed_edges)),
     )
-    return maps[0] if maps else None
 
 
-# ---------------------------------------------------------------------------
-# injective subgraph embedding (non-induced)
-# ---------------------------------------------------------------------------
+def all_graph_automorphisms(g: AbstractGraph) -> list[list[int]]:
+    return list(_embeddings((g,), (g,)))
+
 
 def subgraph_embeds(g: AbstractGraph, h: AbstractGraph) -> bool:
     """True iff some injective vertex map carries every g-edge to an h-edge."""
     if g.n > h.n or g.m > h.m:
         return False
-    deg_g = g.degrees()
-    deg_h = h.degrees()
-    if any(
-        a > b
-        for a, b in zip(sorted(deg_g, reverse=True), sorted(deg_h, reverse=True))
-    ):
+    deg_g = sorted(g.degrees(), reverse=True)
+    deg_h = sorted(h.degrees(), reverse=True)
+    if any(a > b for a, b in zip(deg_g, deg_h)):
         return False
-    adj_g = g.adjacency()
-    adj_h = h.adjacency()
-    # constrained vertices first; isolated vertices of g are placed last
-    order = sorted(range(g.n), key=lambda v: (-deg_g[v], v))
-    images = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        placed_neighbors = [u for u in adj_g[v] if images[u] >= 0]
-        for w in range(h.n):
-            if used[w] or deg_h[w] < deg_g[v]:
-                continue
-            if any(images[u] not in adj_h[w] for u in placed_neighbors):
-                continue
-            images[v] = w
-            used[w] = True
-            if extend(i + 1):
-                return True
-            used[w] = False
-            images[v] = -1
-        return False
-
-    return extend(0)
+    return next(_embeddings((g,), (h,)), None) is not None
 
 
 # ---------------------------------------------------------------------------
 # exact chromatic number
 # ---------------------------------------------------------------------------
 
-def _greedy_clique(adj: list[set[int]]) -> int:
-    n = len(adj)
-    best = 0
-    for start in sorted(range(n), key=lambda v: -len(adj[v])):
-        clique = [start]
-        for v in sorted(adj[start], key=lambda v: -len(adj[v])):
-            if all(v in adj[u] for u in clique):
-                clique.append(v)
-        best = max(best, len(clique))
-    return best
-
-
-def _k_colorable(adj: list[set[int]], order: list[int], k: int) -> bool:
-    coloring = {}
-
-    def extend(i: int, used_colors: int) -> bool:
-        if i == len(order):
+def _k_colorable(adj, order, k, coloring, i=0, used_colors=0) -> bool:
+    """Whether coloring extends to order[i:] with at most k colors."""
+    if i == len(order):
+        return True
+    v = order[i]
+    forbidden = {coloring[u] for u in adj[v] if u in coloring}
+    # symmetry breaking: at most one brand-new color per step
+    for c in range(min(k, used_colors + 1)):
+        if c in forbidden:
+            continue
+        coloring[v] = c
+        if _k_colorable(adj, order, k, coloring, i + 1, max(used_colors, c + 1)):
             return True
-        v = order[i]
-        forbidden = {coloring[u] for u in adj[v] if u in coloring}
-        # symmetry breaking: at most one brand-new color per step
-        limit = min(k, used_colors + 1)
-        for c in range(limit):
-            if c in forbidden:
-                continue
-            coloring[v] = c
-            if extend(i + 1, max(used_colors, c + 1)):
-                return True
-            del coloring[v]
-        return False
-
-    return extend(0, 0)
+        del coloring[v]
+    return False
 
 
 def chromatic_number(g: AbstractGraph) -> int:
@@ -323,8 +282,8 @@ def chromatic_number(g: AbstractGraph) -> int:
         return 1
     adj = g.adjacency()
     order = sorted(range(g.n), key=lambda v: -len(adj[v]))
-    k = max(2, _greedy_clique(adj))
-    while not _k_colorable(adj, order, k):
+    k = 2
+    while not _k_colorable(adj, order, k, {}):
         k += 1
     return k
 
@@ -338,6 +297,16 @@ def chromatic_number(g: AbstractGraph) -> int:
 # isomorphism classes and distinct across them, which is all a canonical
 # label needs.
 # ---------------------------------------------------------------------------
+
+def _colored_matrix(n, *edge_sets) -> list[list[int]]:
+    """Symmetric matrix of pair colors; edge set k gets color k+1."""
+    m = [[0] * n for _ in range(n)]
+    for color, edges in enumerate(edge_sets, start=1):
+        for u, v in edges:
+            m[u][v] = color
+            m[v][u] = color
+    return m
+
 
 def _refine_cells(matrix, cells, placed):
     n_placed = tuple(placed)
@@ -374,6 +343,32 @@ def _twins(matrix, u, v):
     )
 
 
+def _least_completion(matrix, cells, placed, prefix, best):
+    """The least adjacency string that completes prefix (the strings of the
+    vertices in placed) over the ordered cells, or best if it is smaller."""
+    if not cells:
+        return prefix.copy() if best is None or prefix < best else best
+    head = cells[0]
+    tried: list[int] = []
+    for v in head:
+        if tried and any(_twins(matrix, v, u) for u in tried):
+            continue
+        tried.append(v)
+        entries = [matrix[u][v] for u in placed]
+        prefix.extend(entries)
+        if best is None or prefix <= best[: len(prefix)]:
+            placed.append(v)
+            if len(head) == 1:
+                rest_cells = cells[1:]
+            else:
+                rest = [u for u in head if u != v]
+                rest_cells = _refine_cells(matrix, [rest] + cells[1:], placed)
+            best = _least_completion(matrix, rest_cells, placed, prefix, best)
+            placed.pop()
+        del prefix[len(prefix) - len(entries):]
+    return best
+
+
 def _canonical_string(n: int, matrix: list[list[int]]) -> bytes:
     if n > CANONICAL_LABEL_MAX_VERTICES:
         raise ValueError(
@@ -382,49 +377,8 @@ def _canonical_string(n: int, matrix: list[list[int]]) -> bytes:
         )
     if n == 0:
         return bytes([0])
-    best: list[int] | None = None
-    placed: list[int] = []
-    prefix: list[int] = []
-
-    def rec(cells):
-        nonlocal best
-        if not cells:
-            if best is None or prefix < best:
-                best = prefix.copy()
-            return
-        head = cells[0]
-        if len(head) == 1:
-            v = head[0]
-            entries = [matrix[u][v] for u in placed]
-            prefix.extend(entries)
-            if best is not None and prefix > best[: len(prefix)]:
-                del prefix[len(prefix) - len(entries):]
-                return
-            placed.append(v)
-            rec(cells[1:])
-            placed.pop()
-            del prefix[len(prefix) - len(entries):]
-            return
-        tried: list[int] = []
-        for v in head:
-            if any(_twins(matrix, v, u) for u in tried):
-                continue
-            tried.append(v)
-            entries = [matrix[u][v] for u in placed]
-            prefix.extend(entries)
-            if best is not None and prefix > best[: len(prefix)]:
-                del prefix[len(prefix) - len(entries):]
-                continue
-            placed.append(v)
-            rest = [u for u in head if u != v]
-            new_cells = ([rest] if rest else []) + cells[1:]
-            rec(_refine_cells(matrix, new_cells, placed))
-            placed.pop()
-            del prefix[len(prefix) - len(entries):]
-
-    rec(_refine_cells(matrix, [list(range(n))], placed))
-    assert best is not None
-    return bytes([n]) + bytes(best)
+    cells = _refine_cells(matrix, [list(range(n))], [])
+    return bytes([n]) + bytes(_least_completion(matrix, cells, [], [], None))
 
 
 def canonical_label(g: AbstractGraph) -> bytes:

@@ -210,6 +210,20 @@ def best_cover_fits(poset: HomPoset) -> list[dict[str, int]]:
     return out
 
 
+def load_k33_atlas(path) -> Atlas:
+    """Load a complete k33 atlas, the one kind pin_reference_labels labels:
+    ParseError for any other atlas (load_atlas's errors pass through)."""
+    atlas = load_atlas(path)
+    if atlas.target != "k33":
+        raise ParseError("label queries need a k33 atlas")
+    if len(atlas.classes) != ref.K33_CLASS_COUNT:
+        raise ParseError(
+            f"label queries need the complete k33 atlas of {ref.K33_CLASS_COUNT}"
+            f" classes, got {len(atlas.classes)}"
+        )
+    return atlas
+
+
 def pin_reference_labels(
     atlas: Atlas,
 ) -> tuple[Atlas, HomPoset, list[tuple[str, str, bool]]]:
@@ -264,8 +278,8 @@ class VerificationArtifacts:
     poset: HomPoset
     labeling: dict[str, int]
     cover_mismatches: list[tuple[str, str, bool]]
+    atlas_supplied: bool = False
     supplied_atlas_error: str | None = None
-    supplied_atlas_count: int | None = None
 
 
 def _require_positive(count: int, what: str) -> None:
@@ -295,24 +309,12 @@ def build_artifacts(
     )
 
     supplied_error = None
-    supplied_count = None
     base = pass_a["k33"]
     if atlas_path is not None:
         try:
-            supplied = load_atlas(atlas_path)
+            base = load_k33_atlas(atlas_path)
         except (OSError, ParseError) as exc:
-            supplied_error = f"unreadable atlas file: {exc}"
-        else:
-            supplied_count = len(supplied.classes)
-            if supplied.target != "k33":
-                supplied_error = "supplied atlas is not a k33 atlas; ignored"
-            elif supplied_count != ref.K33_CLASS_COUNT:
-                supplied_error = (
-                    f"supplied atlas holds {supplied_count} classes,"
-                    f" expected {ref.K33_CLASS_COUNT}; rebuilt from scratch"
-                )
-            else:
-                base = supplied
+            supplied_error = f"supplied atlas rejected: {exc}"
 
     pinned, poset, mismatches = pin_reference_labels(base)
     labeling = {c.label: i for i, c in enumerate(pinned.classes)}
@@ -325,8 +327,8 @@ def build_artifacts(
         poset=poset,
         labeling=labeling,
         cover_mismatches=mismatches,
+        atlas_supplied=atlas_path is not None,
         supplied_atlas_error=supplied_error,
-        supplied_atlas_count=supplied_count,
     )
 
 
@@ -369,8 +371,8 @@ def check_atlas_counts(art: VerificationArtifacts) -> CheckResult:
     if art.supplied_atlas_error:
         ok = False
         detail += f"; {art.supplied_atlas_error}"
-    elif art.supplied_atlas_count is not None:
-        detail += f"; supplied atlas: {art.supplied_atlas_count} classes"
+    elif art.atlas_supplied:
+        detail += f"; supplied atlas: {ref.K33_CLASS_COUNT} classes"
     return CheckResult("atlas-counts", ok, detail)
 
 
@@ -646,6 +648,8 @@ def _validate_poset_file(path, art: VerificationArtifacts) -> list[str]:
     leq = [[bool(v) for v in row] for row in leq]
     candidate = poset_from_leq(leq, rank)
     candidate.hasse_edges = {tuple(e) for e in hasse}
+    if len(candidate.hasse_edges) != len(hasse):
+        return ["supplied poset: a Hasse edge is repeated"]
     file_problems = validate_poset(candidate)
     if file_problems:
         return [f"supplied poset: {p}" for p in file_problems]

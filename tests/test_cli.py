@@ -210,7 +210,7 @@ def test_non_utf8_file_is_an_error(tmp_path, capsys):
     lines = captured.out.splitlines()
     assert any(
         line.startswith("FAIL atlas-counts")
-        and "unreadable atlas file: atlas file is not UTF-8" in line
+        and "supplied atlas rejected: atlas file is not UTF-8" in line
         for line in lines
     )
     assert any(

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, permutations
 
@@ -35,6 +36,26 @@ def brute_isomorphism(g, h):
         if mapped == h.edges:
             return list(perm)
     return None
+
+
+def brute_automorphisms(g):
+    return [
+        list(perm)
+        for perm in permutations(range(g.n))
+        if {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
+        == g.edges
+    ]
+
+
+def brute_two_colored_isomorphic(g, h):
+    def image(perm, edges):
+        return {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
+
+    return g.n == h.n and any(
+        image(perm, g.solid_edges) == h.solid_edges
+        and image(perm, g.dashed_edges) == h.dashed_edges
+        for perm in permutations(range(g.n))
+    )
 
 
 def brute_embeds(g, h):
@@ -75,6 +96,14 @@ def brute_chromatic(g):
 def random_graph(rng, n, p=0.5):
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return AbstractGraph.from_edges(n, edges)
+
+
+def random_two_colored(rng, n):
+    # each pair is solid, dashed or no edge with equal odds
+    color = {e: rng.randrange(3) for e in combinations(range(n), 2)}
+    return TwoColoredGraph.from_edges(
+        n, [e for e in color if color[e] == 1], [e for e in color if color[e] == 2]
+    )
 
 
 def relabel(g, perm):
@@ -137,12 +166,50 @@ def test_isomorphism_matches_brute_force():
         assert (graph_isomorphism(g, h) is not None) == (
             brute_isomorphism(g, h) is not None
         )
+        assert sorted(all_graph_automorphisms(g)) == brute_automorphisms(g)
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        g = random_two_colored(rng, n)
+        # a relabeled copy is isomorphic; an independent draw mostly is not
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = TwoColoredGraph.from_edges(
+            n,
+            ((perm[u], perm[v]) for u, v in g.solid_edges),
+            ((perm[u], perm[v]) for u, v in g.dashed_edges),
+        )
+        for h in (copy, random_two_colored(rng, n)):
+            assert (two_colored_isomorphism(g, h) is not None) == (
+                brute_two_colored_isomorphic(g, h)
+            )
 
 
 def test_automorphism_counts():
     assert len(all_graph_automorphisms(complete_bipartite_graph(3, 3))) == 72
     assert len(all_graph_automorphisms(cycle_graph(5))) == 10
     assert len(all_graph_automorphisms(empty_graph(4))) == 24
+
+
+def test_searches_leave_no_reference_cycle():
+    # each search frees all it builds on return, with no collector pass
+    k33 = complete_bipartite_graph(3, 3)
+    calls = (
+        lambda: subgraph_embeds(path_graph(6), cycle_graph(6)),
+        lambda: all_graph_automorphisms(cycle_graph(5)),
+        lambda: graph_isomorphism(k33, relabel(k33, [3, 0, 4, 1, 5, 2])),
+        lambda: chromatic_number(cycle_graph(5)),
+        lambda: canonical_label(k33),
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

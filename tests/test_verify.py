@@ -7,7 +7,7 @@ import pytest
 
 from geohom import atlas, morphisms
 from geohom import reference_data as ref
-from geohom.atlas import mask_images, orbit_signature
+from geohom.atlas import assign_paper_labels, mask_images, orbit_signature, save_atlas
 from geohom.exact_geometry import chirotope_code, crossing_mask, segments_cross_rational
 from geohom.invariants import crossing_signature
 from geohom.morphisms import VertexMap, injective_geo_homomorphisms, prop_conditions
@@ -134,6 +134,11 @@ def test_poset_file_validation(tmp_path, hom_poset):
             "a Hasse edge is not a pair of indices below 19",
         ),
         ("cr", good["cr"][1:], "cr does not have 19 entries"),
+        (
+            "hasse_edges",
+            good["hasse_edges"] + good["hasse_edges"][:1],
+            "a Hasse edge is repeated",
+        ),
     ):
         bad_path.write_text(json.dumps({**good, field: value}))
         result = check_poset_structure(art, bad_path)
@@ -179,6 +184,33 @@ def test_empty_checks_rejected():
         check_parity_property(0)
     with pytest.raises(ValueError):
         check_oracle_equivalence(None, quadruples=0)
+
+
+def test_supplied_atlas_must_be_the_complete_k33_atlas(
+    tmp_path, atlases_a, atlases_b, pinned_atlas, monkeypatch
+):
+    # the sampled atlases are the session's; only the supplied file varies
+    monkeypatch.setattr(
+        "geohom.verify.enumerate_atlases",
+        lambda cfg: {7: atlases_a, 101: atlases_b}[cfg.seed],
+    )
+    k33, k6, short, missing = (
+        tmp_path / f"{name}.json" for name in ("k33", "k6", "short", "missing")
+    )
+    save_atlas(pinned_atlas, k33)
+    save_atlas(assign_paper_labels(atlases_a["k6"]), k6)
+    save_atlas(replace(pinned_atlas, classes=pinned_atlas.classes[:18]), short)
+    for path, message in (
+        (k6, "label queries need a k33 atlas"),
+        (short, "label queries need the complete k33 atlas of 19 classes, got 18"),
+        (missing, f"[Errno 2] No such file or directory: '{missing}'"),
+    ):
+        result = check_atlas_counts(build_artifacts(atlas_path=path))
+        assert not result.passed
+        assert result.detail.endswith(f"; supplied atlas rejected: {message}")
+    result = check_atlas_counts(build_artifacts(atlas_path=k33))
+    assert result.passed, result.detail
+    assert result.detail.endswith("; supplied atlas: 19 classes")
 
 
 def test_atlas_counts_needs_every_proven_class(atlases_a, atlases_b):
