@@ -15,9 +15,9 @@ the order and the line-graph condition read.
 
 Which classes exist is proven, not sampled: ``proven_classes`` takes the
 11,904 labeled chirotopes of six points (``chirotopes_of_six``), their
-4,524 distinct K_6 masks and the K_{3,3} masks of those, and maps each
-mask to its orbit: 15 classes for K_6, 19 for K_{3,3}.  Sampling finds a
-representative drawing of each.
+4,524 distinct K_6 masks and the 768 K_{3,3} masks those restrict to on
+the layout, and maps each mask to its orbit: 15 classes for K_6, 19 for
+K_{3,3}.  Sampling finds a representative drawing of each.
 
 A sample costs one kernel call and one dict lookup: the 6-point
 configuration's packed chirotope (``chirotope_code``) keys a memo of K_6
@@ -293,18 +293,13 @@ def proven_classes(target: str) -> dict[int, int]:
     the 4,524 distinct masks of the chirotopes of chirotopes_of_six, in 15
     classes (a chirotope and its negation cross alike, since a crossing
     test compares products of two signs, so half the codes suffice).  For
-    K_{3,3}: the ten bipartition drawings of each K_6 class, in 19 classes
-    (relabeling a K_6 drawing only permutes its bipartitions, so one mask
-    per K_6 class suffices)."""
+    K_{3,3}: the 768 masks m & _K33_BITS of those K_6 masks m, the
+    drawings on {0,1,2} | {3,4,5}, in 19 classes (the K_6 masks are closed
+    under relabeling, so every bipartition's drawing is among them)."""
     if target == "k6":
-        masks = (
-            crossing_mask(code, 6)
-            for code in chirotopes_of_six()
-            if code & 1
-        )
+        masks = (crossing_mask(code, 6) for code in chirotopes_of_six() if code & 1)
     else:
-        one_per_class = {cls: mask for mask, cls in proven_classes("k6").items()}
-        masks = (m for mask in one_per_class.values() for m in k33_masks(mask))
+        masks = (mask & _K33_BITS for mask in proven_classes("k6"))
     classes: dict[int, int] = {}
     count = 0
     for mask in masks:

@@ -10,7 +10,9 @@ out-of-range flag value).  Run as ``geohom`` or ``python -m geohom``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from functools import cache
 
@@ -84,6 +86,14 @@ def _pinned(args):
 
 def cmd_enumerate(args) -> int:
     cfg = _config_from(args)
+    # before sampling; with a trailing slash, stat fails unless the parent is a directory
+    try:
+        os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {OSError(*exc.args, args.out)}", file=sys.stderr)
+        return 1
     partial = False
     try:
         atlas = enumerate_classes(args.graph, cfg)

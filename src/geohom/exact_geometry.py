@@ -22,8 +22,8 @@ by intersecting supporting lines instead, sharing none of this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations
+from functools import cache, partial
+from itertools import combinations, permutations, product
 
 COORDINATE_LIMIT = 1 << 20
 
@@ -75,6 +75,18 @@ class Segment:
 def triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """Index triples i < j < k of n points, in combinations order."""
     return tuple(combinations(range(n), 3))
+
+
+@cache
+def _ordered_triples(n: int) -> dict[tuple[int, int, int], tuple[int, int]]:
+    """Per ordered triple of distinct indices below n: the position t of
+    its sorted triple in triples(n) and the sign s of the permutation that
+    sorts it, so that its orientation is s * orientation_signs(pts)[t]."""
+    position = {t: pos for pos, t in enumerate(triples(n))}
+    return {
+        (u, v, w): (position[tuple(sorted((u, v, w)))], (-1) ** ((u > v) + (u > w) + (v > w)))
+        for u, v, w in permutations(range(n), 3)
+    }
 
 
 def orientation_signs(pts) -> list[int]:
@@ -225,66 +237,55 @@ def chirotope_code(pts) -> int | None:
     return code
 
 
-@cache
-def _chirotope_constraints() -> tuple[tuple[int, tuple, tuple], ...]:
-    """The steps of chirotopes_of_six: the 20 triples in colex order, each
-    as (its bit, the constraints whose last triple it is).
+def _circuit(chi, a, b, c, d) -> tuple[int, ...]:
+    """Acyclicity of a 4-subset: its circuit signs (-1)^i chi(quad without
+    i) must not all agree, or a positive combination of the lifted points
+    (x, y, 1) would vanish."""
+    return chi(b, c, d), -chi(a, c, d), chi(a, b, d), -chi(a, b, c)
 
-    A 4-subset's test (mask, flips) rejects a code when (code & mask) ^
-    flips is 0 or mask: the signs (-1)^i chi(quad without i) of its circuit
-    would all agree, so a positive combination of the lifted points
-    (x, y, 1) would vanish.  A 3-term Grassmann-Pluecker test (m12, f12,
-    m23, f23), for an apex x and four more points a < b < c < d, rejects a
-    code whose products chi(xab)chi(xcd), -chi(xac)chi(xbd) and
-    chi(xad)chi(xbc) all agree: the first two agree iff (code & m12) has
-    parity f12, the last two iff (code & m23) has parity f23.
-    """
-    index = {t: pos for pos, t in enumerate(triples(6))}
-    order = sorted(index, key=lambda t: t[::-1])
-    step = {index[t]: s for s, t in enumerate(order)}
-    acyclic: list[list] = [[] for _ in order]
-    exchange: list[list] = [[] for _ in order]
 
-    def last_step(mask):
-        return max(step[t] for t in range(20) if mask >> t & 1)
-
-    def signed(u, v, w):
-        # (the sorted triple's bit, parity of the permutation sorting it)
-        return 1 << index[tuple(sorted((u, v, w)))], (u > v) + (u > w) + (v > w) & 1
-
-    for quad in combinations(range(6), 4):
-        mask = flips = 0
-        for i in range(4):
-            bit = 1 << index[quad[:i] + quad[i + 1:]]
-            mask |= bit
-            flips |= bit if i & 1 else 0
-        acyclic[last_step(mask)].append((mask, flips))
-    for five in combinations(range(6), 5):
-        for x in five:
-            a, b, c, d = (v for v in five if v != x)
-            terms = []  # per product: (the bits of its two triples, its sign flip)
-            for (e, f), (g, h), negated in (
-                ((a, b), (c, d), 0), ((a, c), (b, d), 1), ((a, d), (b, c), 0)
-            ):
-                (b1, f1), (b2, f2) = signed(x, e, f), signed(x, g, h)
-                terms.append((b1 | b2, f1 ^ f2 ^ negated))
-            (m1, f1), (m2, f2), (m3, f3) = terms
-            exchange[last_step(m1 | m2 | m3)].append((m1 | m2, f1 ^ f2, m2 | m3, f2 ^ f3))
-    return tuple(
-        (index[t], tuple(acyclic[s]), tuple(exchange[s]))
-        for s, t in enumerate(order)
+def _exchange(chi, x, a, b, c, d) -> tuple[int, ...]:
+    """3-term Grassmann-Pluecker for the apex x and a < b < c < d: the
+    three products must not all agree."""
+    return (
+        chi(x, a, b) * chi(x, c, d), -chi(x, a, c) * chi(x, b, d), chi(x, a, d) * chi(x, b, c)
     )
 
 
-def _satisfies(code: int, acyclic, exchange) -> bool:
-    """True iff the code passes every test of one step."""
-    for mask, flips in acyclic:
-        if (code & mask) ^ flips in (0, mask):
-            return False
-    for m12, f12, m23, f23 in exchange:
-        if (code & m12).bit_count() & 1 == f12 and (code & m23).bit_count() & 1 == f23:
-            return False
-    return True
+@cache
+def _chirotope_constraints() -> tuple[tuple[int, tuple[tuple[int, frozenset], ...]], ...]:
+    """The steps of chirotopes_of_six: the 20 triples in colex order, each
+    as (its bit, the tests whose last triple it is).
+
+    Each axiom instance, _circuit per 4-subset and _exchange per apex and
+    4-subset, is one packed test (mask, forbidden): mask has the bits of
+    the triples it reads, and forbidden holds each value of code & mask on
+    which its terms all agree, found on every sign pattern of those bits.
+    """
+    side = _ordered_triples(6)
+    colex = [side[t][0] for t in sorted(triples(6), key=lambda t: t[::-1])]
+    tests: dict[int, list] = {position: [] for position in colex}
+
+    def chi(value, *t):
+        # the orientation of the ordered triple t when code & mask == value
+        position, sign = side[t]
+        return sign if value >> position & 1 else -sign
+
+    def add(axiom, *points):
+        read: dict[int, int] = {}  # the positions of the triples it reads
+        axiom(lambda *t: read.setdefault(side[t][0], 1), *points)
+        forbidden = frozenset(
+            v for v in map(sum, product(*((0, 1 << t) for t in read)))
+            if len(set(axiom(partial(chi, v), *points))) == 1
+        )
+        tests[max(read, key=colex.index)].append((sum(1 << t for t in read), forbidden))
+
+    for quad in combinations(range(6), 4):
+        add(_circuit, *quad)
+    for five in combinations(range(6), 5):
+        for x in five:
+            add(_exchange, x, *(v for v in five if v != x))
+    return tuple((position, tuple(step)) for position, step in tests.items())
 
 
 def chirotopes_of_six() -> list[int]:
@@ -293,21 +294,18 @@ def chirotopes_of_six() -> list[int]:
     types of six points in general position (every rank-3 oriented matroid
     on at most eight elements is realizable).
 
-    Sign vectors grow one triple at a time in colex order, and each
-    constraint of _chirotope_constraints is tested at the step that sets
-    its last triple.  chi(0, 1, 2) = +1 is fixed: the 5,952 codes with bit
-    0 set come first, then their negations, which satisfy the same
-    constraints.  Built anew on each call (about 0.03 s); the program keeps
-    only the classes it proves (atlas.proven_classes).
+    Sign vectors grow one triple at a time in colex order: each step
+    doubles the list, then filters it once per test of
+    _chirotope_constraints whose last triple it sets.  chi(0, 1, 2) = +1 is
+    fixed: the 5,952 codes with bit 0 set come first, then their negations,
+    which pass the same tests.  Built anew on each call (about 0.02 s, once
+    the tests are derived); the program keeps only the classes it proves.
     """
     codes = [1]
-    for bit, acyclic, exchange in _chirotope_constraints()[1:]:
-        codes = [
-            code
-            for base in codes
-            for code in (base, base | 1 << bit)
-            if _satisfies(code, acyclic, exchange)
-        ]
+    for bit, tests in _chirotope_constraints()[1:]:
+        codes = [code for base in codes for code in (base, base | 1 << bit)]
+        for mask, forbidden in tests:
+            codes = [code for code in codes if code & mask not in forbidden]
     full = (1 << 20) - 1
     return codes + [full ^ code for code in codes]
 
@@ -325,17 +323,11 @@ def _side_tests(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """Per pair ab, cd of disjoint_edge_pairs(n): (t1, t2, r1, t3, t4, r2)
     with c, d on opposite sides of ab iff signs[t1] * signs[t2] == r1,
     and a, b on opposite sides of cd iff signs[t3] * signs[t4] == r2."""
-    index = {t: pos for pos, t in enumerate(triples(n))}
-
-    def side(u, v, w):
-        # the orientation of (u, v, w) is the sign of the sorted triple times
-        # the parity of the permutation that sorts (u, v, w)
-        return index[tuple(sorted((u, v, w)))], (-1) ** ((u > v) + (u > w) + (v > w))
-
+    side = _ordered_triples(n)
     tests = []
     for (a, b), (c, d) in disjoint_edge_pairs(n):
-        (t1, p1), (t2, p2) = side(a, b, c), side(a, b, d)
-        (t3, p3), (t4, p4) = side(c, d, a), side(c, d, b)
+        (t1, p1), (t2, p2) = side[a, b, c], side[a, b, d]
+        (t3, p3), (t4, p4) = side[c, d, a], side[c, d, b]
         tests.append((t1, t2, -p1 * p2, t3, t4, -p3 * p4))
     return tuple(tests)
 

@@ -297,6 +297,8 @@ def build_artifacts(
     atlas_path=None,
 ) -> VerificationArtifacts:
     """Enumerate, label, and pin everything needed by the checks."""
+    if seed_a == seed_b:
+        raise ConfigError(f"the two seeds must differ, got {seed_a} twice")
     given = {
         "stabilization_window": window,
         "max_samples": max_samples,

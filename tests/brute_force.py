@@ -1,17 +1,18 @@
 """Definition-level references for the tests, independent of the
-crossing tables, the symmetry tables and the packed label scorer: the
-crossing mask by one side test per edge pair, the rational predicate in
-Fractions, isomorphism by brute force, every graph homomorphism
+crossing tables, the symmetry tables, the packed axiom tests and the
+packed label scorer: the crossing mask by one side test per edge pair,
+the six-point chirotopes by per-candidate parity tests, the rational
+predicate in Fractions, isomorphism by brute force, every graph homomorphism
 K_{3,3} -> K_{3,3} as a candidate vertex map, and label pinning by
 scoring each labeling cell by cell."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from geohom import reference_data as ref
-from geohom.exact_geometry import Segment, _side_tests
+from geohom.exact_geometry import Segment, _side_tests, triples
 from geohom.morphisms import VertexMap, brute_force_injective_geo_homomorphisms
 from geohom.poset import HomPoset
 from geohom.realization import GeometricRealization, crossing_structure
@@ -31,6 +32,80 @@ def crossing_mask_of_signs(signs: list[int], n: int) -> int:
         if signs[t1] * signs[t2] == r1 and signs[t3] * signs[t4] == r2:
             mask |= 1 << bit
     return mask
+
+
+def _parity_constraints() -> list[tuple[int, list, list]]:
+    """Per triple of six points in colex order: its bit, and the axiom
+    tests whose last triple it is, each written as bit parities.
+
+    A 4-subset's test (mask, flips) rejects a code when (code & mask) ^
+    flips is 0 or mask: the signs (-1)^i chi(quad without i) of its circuit
+    would all agree.  A 3-term Grassmann-Pluecker test (m12, f12, m23,
+    f23), for an apex x and four more points a < b < c < d, rejects a code
+    whose products chi(xab)chi(xcd), -chi(xac)chi(xbd) and chi(xad)chi(xbc)
+    all agree: the first two agree iff (code & m12) has parity f12, the
+    last two iff (code & m23) has parity f23.
+    """
+    index = {t: pos for pos, t in enumerate(triples(6))}
+    order = sorted(index, key=lambda t: t[::-1])
+    step = {index[t]: s for s, t in enumerate(order)}
+    acyclic: list[list] = [[] for _ in order]
+    exchange: list[list] = [[] for _ in order]
+
+    def last_step(mask):
+        return max(step[t] for t in range(20) if mask >> t & 1)
+
+    def signed(u, v, w):
+        # (the sorted triple's bit, parity of the permutation sorting it)
+        return 1 << index[tuple(sorted((u, v, w)))], (u > v) + (u > w) + (v > w) & 1
+
+    for quad in combinations(range(6), 4):
+        mask = flips = 0
+        for i in range(4):
+            bit = 1 << index[quad[:i] + quad[i + 1:]]
+            mask |= bit
+            flips |= bit if i & 1 else 0
+        acyclic[last_step(mask)].append((mask, flips))
+    for five in combinations(range(6), 5):
+        for x in five:
+            a, b, c, d = (v for v in five if v != x)
+            terms = []  # per product: (the bits of its two triples, its sign flip)
+            for (e, f), (g, h), negated in (
+                ((a, b), (c, d), 0), ((a, c), (b, d), 1), ((a, d), (b, c), 0)
+            ):
+                (b1, f1), (b2, f2) = signed(x, e, f), signed(x, g, h)
+                terms.append((b1 | b2, f1 ^ f2 ^ negated))
+            (m1, f1), (m2, f2), (m3, f3) = terms
+            exchange[last_step(m1 | m2 | m3)].append((m1 | m2, f1 ^ f2, m2 | m3, f2 ^ f3))
+    return [(index[t], acyclic[s], exchange[s]) for s, t in enumerate(order)]
+
+
+def _satisfies(code: int, acyclic, exchange) -> bool:
+    """True iff the code passes every test of one step."""
+    for mask, flips in acyclic:
+        if (code & mask) ^ flips in (0, mask):
+            return False
+    for m12, f12, m23, f23 in exchange:
+        if (code & m12).bit_count() & 1 == f12 and (code & m23).bit_count() & 1 == f23:
+            return False
+    return True
+
+
+def chirotopes_of_six_by_parities() -> list[int]:
+    """chirotopes_of_six, one candidate at a time: each code of a step is
+    kept iff it passes every parity test of _parity_constraints whose last
+    triple the step sets; in the same order, the codes with bit 0 set and
+    then their negations."""
+    codes = [1]
+    for bit, acyclic, exchange in _parity_constraints()[1:]:
+        codes = [
+            code
+            for base in codes
+            for code in (base, base | 1 << bit)
+            if _satisfies(code, acyclic, exchange)
+        ]
+    full = (1 << 20) - 1
+    return codes + [full ^ code for code in codes]
 
 
 def segments_cross_fraction(s: Segment, t: Segment) -> bool:

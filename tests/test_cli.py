@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -160,6 +161,37 @@ def test_out_of_range_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"geohom {argv[0]}: error: ")
     assert not list(tmp_path.iterdir())  # nothing enumerated or written
+
+
+def test_verify_with_equal_seeds_is_a_usage_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("geohom.verify.enumerate_atlases", refuse)
+    assert run(["verify", "--seed", "7", "--seed2", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "geohom verify: error: the two seeds must differ, got 7 twice\n"
+
+
+@pytest.mark.parametrize(
+    "out, code",
+    [("", errno.EISDIR), ("missing/atlas.json", errno.ENOENT), ("file/atlas.json", errno.ENOTDIR)],
+)
+def test_enumerate_checks_the_output_path_before_sampling(
+    out, code, tmp_path, monkeypatch, capsys
+):
+    # the message that opening the file after sampling would give
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("geohom.cli.enumerate_classes", refuse)
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / out)
+    assert run(["enumerate", "--out", path]) == 1
+    error = OSError(code, os.strerror(code), path)
+    assert capsys.readouterr().err == f"error: cannot write {path}: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 @pytest.mark.parametrize("flag", ["--parity-sets", "--quadruples"])

@@ -8,6 +8,7 @@ from geohom.exact_geometry import (
     GeneralPositionViolation,
     Point,
     Segment,
+    _chirotope_constraints,
     chirotopes_of_six,
     crossing_mask,
     find_general_position_violation,
@@ -16,7 +17,7 @@ from geohom.exact_geometry import (
     segments_cross_rational,
 )
 
-from brute_force import chirotope_signs, crossing_mask_of_signs
+from brute_force import chirotope_signs, chirotopes_of_six_by_parities, crossing_mask_of_signs
 
 
 def P(x, y):
@@ -129,6 +130,33 @@ def test_crossing_mask_matches_the_sign_loop_on_every_chirotope():
     assert len(codes) == 11_904
     for code in codes:
         assert crossing_mask(code, 6) == crossing_mask_of_signs(chirotope_signs(code), 6)
+
+
+def test_chirotopes_of_six_match_the_parity_reference():
+    # the same codes in the same order as the per-candidate parity tests
+    assert chirotopes_of_six() == chirotopes_of_six_by_parities()
+
+
+@pytest.mark.parametrize(
+    "reads, instances, count",
+    [(4, 15, 23_808), (6, 30, 173_128)],
+    ids=["acyclicity", "grassmann-pluecker"],
+)
+def test_each_axiom_family_is_needed(reads, instances, count, monkeypatch):
+    # an acyclicity test reads the 4 triples of a 4-subset, a
+    # Grassmann-Pluecker test the 6 triples through its apex; dropping
+    # either family lets non-chirotopes through
+    steps = _chirotope_constraints()
+    tests = [test for _, step in steps for test in step]
+    assert len(tests) == 45
+    assert all(isinstance(forbidden, frozenset) for _, forbidden in tests)
+    assert sum(mask.bit_count() == reads for mask, _ in tests) == instances
+    kept = tuple(
+        (bit, tuple(test for test in step if test[0].bit_count() != reads))
+        for bit, step in steps
+    )
+    monkeypatch.setattr("geohom.exact_geometry._chirotope_constraints", lambda: kept)
+    assert len(chirotopes_of_six()) == count
 
 
 def test_crossing_mask_on_every_four_point_sign_pattern():

@@ -7,7 +7,7 @@ import pytest
 
 from geohom import atlas, morphisms
 from geohom import reference_data as ref
-from geohom.atlas import assign_paper_labels, mask_images, orbit_signature, save_atlas
+from geohom.atlas import ConfigError, assign_paper_labels, mask_images, orbit_signature, save_atlas
 from geohom.exact_geometry import chirotope_code, crossing_mask, segments_cross_rational
 from geohom.invariants import crossing_signature
 from geohom.morphisms import VertexMap, injective_geo_homomorphisms, prop_conditions
@@ -176,6 +176,16 @@ def test_build_artifacts_samples_each_seed_once(monkeypatch):
     monkeypatch.setattr(atlas, "_point_sets", counted)
     build_artifacts(window=3000, max_samples=100_000)
     assert calls == [7, 101]
+
+
+def test_equal_seeds_rejected_before_enumerating(monkeypatch):
+    # one sampling pass read twice is no second seed
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("geohom.verify.enumerate_atlases", refuse)
+    with pytest.raises(ConfigError, match="seeds must differ"):
+        run_verification(7, 7)
 
 
 def test_empty_checks_rejected():
