@@ -19,7 +19,6 @@ from .graph_core import (
 )
 from .realization import (
     GeometricRealization,
-    bipartitions_of_6,
     crossing_structure,
     make_realization,
 )

@@ -1,37 +1,39 @@
 """Discovery of all isomorphism classes of drawings of K_{3,3} and K_6.
 
-A drawing is handled as its crossing mask, in one layout: bit d is pair
-d of ``disjoint_edge_pairs(6)``, as the kernel's ``crossing_mask`` sets
-it, and a drawing of K_{3,3} on {0,1,2} | {3,4,5} sets only the 18 bits
-whose edges both join the parts.  One symmetry mechanism serves class
-identity, the order, the homomorphism witnesses and the line-graph
-condition: per target, the automorphisms and the bit permutations they
-induce (built on first use); the same permutations relabel each
-bipartition's K_{3,3} drawing onto the layout.  Two drawings are
-isomorphic iff one mask lies among the other's images
-(``mask_images``), and one precedes the other iff some image of its mask
-is a subset of the other's (``carries``): the one precedence test, which
-the order and the line-graph condition read.
+Each target is one row of a table, ``TARGETS``: a graph on vertices
+0..5, its parts (K_{3,3} only), the text naming that vertex layout, and
+its mask bits.  A drawing is handled as its crossing mask, in one
+layout: bit d is pair d of ``disjoint_edge_pairs(6)``, as the kernel's
+``crossing_mask`` sets it, and a target's drawing sets only its row's
+bits.  One symmetry mechanism serves class identity, the order, the
+homomorphism witnesses and the line-graph condition: per target, the
+automorphisms and the bit permutations they induce (built on first
+use).  Two drawings are isomorphic iff one mask lies among the other's
+images (``mask_images``), and one precedes the other iff some image of
+its mask is a subset of the other's (``carries``): the one precedence
+test, which the order and the line-graph condition read.  A target's
+drawing lies in a K_6 drawing as one of its ``copies`` (ten for K_{3,3},
+one per bipartition; for K_6 the identity), whose bits of the K_6 mask a
+permutation of the same kind relabels onto the layout.
 
 Which classes exist is proven, not sampled: ``proven_classes`` takes the
-11,904 labeled chirotopes of six points (``chirotopes_of_six``), their
-4,524 distinct K_6 masks and the 768 K_{3,3} masks those restrict to on
-the layout, and maps each mask to its orbit: 15 classes for K_6, 19 for
-K_{3,3}.  Sampling finds a representative drawing of each.
+4,524 distinct K_6 masks m of the 11,904 labeled chirotopes of six
+points (``chirotopes_of_six``) and maps each mask m & bits of a row to
+its orbit: 15 classes for K_6, 19 for K_{3,3}.  Sampling finds a
+representative drawing of each.
 
 A sample costs one kernel call and one dict lookup: the 6-point
 configuration's packed chirotope (``chirotope_code``) keys a memo of K_6
 classes, so the rest runs only on a miss, and only a miss can open a
 class: the K_6 mask is built from the chirotope and looked up among the
-proven classes.  The ten K_{3,3} masks of
-a configuration (one per bipartition, ``k33_masks``) are read off only
-when it opens a K_6 class, so one pass over the samples yields both
-atlases.  A target is complete at the sample that gives it its last
-proven class.  One that goes a configurable number of samples without a
-new class, or runs out of budget, raises BudgetExhausted with the
-partial result.  Random configurations come from ``random_point_sets``,
-the one seeded generator, which the parity check in ``verify`` draws
-from too.
+proven classes.  When a new K_6 class is seen, every target still
+sampling reads its copies' masks off that K_6 mask, so one pass over
+the samples yields every atlas.  A target is complete at the sample
+that gives it its last proven class.  One that goes a configurable
+number of samples without a new class, or runs out of budget, raises
+BudgetExhausted with the partial result.  Random configurations come
+from ``random_point_sets``, the one seeded generator, which the parity
+check in ``verify`` draws from too.
 
 A class's invariant signature depends only on its orbit:
 ``orbit_signature`` computes it once per orbit per process, from the
@@ -51,7 +53,8 @@ import json
 import random
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
+from typing import NamedTuple
 
 from . import reference_data as ref
 from .exact_geometry import (
@@ -62,6 +65,7 @@ from .exact_geometry import (
     disjoint_edge_pairs,
 )
 from .graph_core import (
+    AbstractGraph,
     ParseError,
     all_graph_automorphisms,
     canonical_label,
@@ -80,7 +84,6 @@ from .invariants import (
 )
 from .realization import (
     GeometricRealization,
-    bipartitions_of_6,
     make_realization,
     ordered_pair,
     rational_crossing_structure,
@@ -88,7 +91,6 @@ from .realization import (
     realization_to_json,
 )
 
-TARGETS = ("k33", "k6")
 # grid mode sweeps 6-subsets of a pool of (bound + 1)^2 points built up front
 GRID_BOUND_LIMIT = 100
 
@@ -169,16 +171,35 @@ def crossing_histogram(atlas: Atlas) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the crossing-mask layout and its symmetry tables
+# the target table, the crossing-mask layout and its symmetry tables
 # ---------------------------------------------------------------------------
 
-_K6_GRAPH = complete_graph(6)
-_K33_GRAPH = complete_bipartite_graph(3, 3)
-_K33_PARTS = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-_GRAPHS = {"k33": _K33_GRAPH, "k6": _K6_GRAPH}
-_LAYOUTS = {"k33": "K_{3,3} on {0,1,2} | {3,4,5}", "k6": "K_6 on 0..5"}
 _PAIRS = disjoint_edge_pairs(6)
 _PAIR_BIT = {pair: bit for bit, pair in enumerate(_PAIRS)}
+
+
+class Target(NamedTuple):
+    """One row of the target table: a graph on vertices 0..5, its parts
+    (K_{3,3} only) and the text naming that vertex layout."""
+
+    name: str
+    graph: AbstractGraph
+    parts: tuple[frozenset[int], frozenset[int]] | None
+    layout: str
+
+    @property
+    def bits(self) -> int:
+        """The mask bits whose two edges both lie in the graph."""
+        edges = self.graph.edges
+        return sum(1 << d for d, (e, f) in enumerate(_PAIRS) if e in edges and f in edges)
+
+
+_K6 = Target("k6", complete_graph(6), None, "K_6 on 0..5")
+_K33 = Target("k33", complete_bipartite_graph(3, 3),
+              (frozenset({0, 1, 2}), frozenset({3, 4, 5})), "K_{3,3} on {0,1,2} | {3,4,5}")
+TARGETS = {row.name: row for row in (_K33, _K6)}
+# (graph, parts) -> target: the vertex layout a drawing is on
+_LAYOUT_TARGET = {(row.graph, row.parts): row.name for row in TARGETS.values()}
 
 
 def _permuted_bits(p) -> bytes:
@@ -197,49 +218,49 @@ def _apply_rows(rows, mask: int) -> list[int]:
     return [sum(1 << row[d] for d in bits) for row in rows]
 
 
-def _joining_mask(first) -> int:
-    """The mask bits whose two edges both join first and its complement."""
+class Copy(NamedTuple):
+    """A labeled copy of a target graph inside K_6: its vertex i is K_6
+    vertex order[i]."""
 
-    def joins(e):
-        return (e[0] in first) != (e[1] in first)
-
-    return sum(1 << bit for bit, (e, f) in enumerate(_PAIRS) if joins(e) and joins(f))
-
-
-# per bipartition of bipartitions_of_6(): the bits of its K_{3,3} drawing,
-# and its parts relabeled onto {0,1,2} | {3,4,5} as _materialize_k33 does
-JOINING_MASKS = tuple(_joining_mask(first) for first, _ in bipartitions_of_6())
-_RELABEL_ROWS = tuple(
-    _permuted_bits({old: new for new, old in enumerate(sorted(first) + sorted(second))})
-    for first, second in bipartitions_of_6()
-)
-_K33_BITS = _joining_mask(_K33_PARTS[0])
+    order: tuple[int, ...]
+    bits: int  # the K_6 mask bits of pairs of its edges
+    relabel: bytes  # _permuted_bits of order[i] -> i: those bits onto the layout
 
 
-def k33_masks(k6_mask: int) -> list[int]:
-    """The crossing masks of the ten K_{3,3} drawings (one per bipartition
-    of bipartitions_of_6()) within a K_6 drawing with this mask."""
-    # row k carries JOINING_MASKS[k] onto _K33_BITS and every other bit off it
-    return [image & _K33_BITS for image in _apply_rows(_RELABEL_ROWS, k6_mask)]
+@cache
+def copies(target: str) -> tuple[Copy, ...]:
+    """The labeled copies of the target graph inside K_6, built on first
+    use: per distinct image of its edges under a vertex order, the
+    lexicographically first order giving it, in lexicographic order."""
+    row = TARGETS[target]
+    edges, bits = row.graph.edges, row.bits
+    first: dict[int, tuple[int, ...]] = {}
+    for p in permutations(range(6)):
+        # keyed by the image's adjacency matrix, packed
+        first.setdefault(sum(1 << 6 * p[u] + p[v] | 1 << 6 * p[v] + p[u] for u, v in edges), p)
+    out = []
+    for order in first.values():
+        relabel = _permuted_bits({old: new for new, old in enumerate(order)})
+        own = sum(1 << d for d, to in enumerate(relabel) if bits >> to & 1)
+        out.append(Copy(order, own, relabel))
+    return tuple(out)
 
 
-def _target_of(r: GeometricRealization) -> str:
-    return "k33" if r.parts is not None else "k6"
-
-
-def _on_layout(r: GeometricRealization) -> bool:
-    target = _target_of(r)
-    return r.graph == _GRAPHS[target] and r.parts in (None, _K33_PARTS)
+def copy_masks(target: str, k6_mask: int) -> list[int]:
+    """The crossing mask, on the target's layout, of each of its copies
+    within a K_6 drawing with this mask."""
+    bits = TARGETS[target].bits
+    rows = [copy.relabel for copy in copies(target)]
+    return [image & bits for image in _apply_rows(rows, k6_mask)]
 
 
 def shared_layout(src: GeometricRealization, dst: GeometricRealization) -> str:
     """The target whose fixed vertex layout both drawings are on; ValueError
     if they are not on one."""
-    target = _target_of(src)
-    if not (_on_layout(src) and _on_layout(dst) and _target_of(dst) == target):
-        raise ValueError(
-            f"drawings are not both on {_LAYOUTS['k33']} or both on {_LAYOUTS['k6']}"
-        )
+    target = _LAYOUT_TARGET.get((src.graph, src.parts))
+    if target is None or _LAYOUT_TARGET.get((dst.graph, dst.parts)) != target:
+        layouts = " or both on ".join(row.layout for row in TARGETS.values())
+        raise ValueError(f"drawings are not both on {layouts}")
     return target
 
 
@@ -248,8 +269,7 @@ def _mask_of_pairs(pairs) -> int:
 
 
 def crossing_mask_of(r: GeometricRealization) -> int:
-    """The crossing mask of a drawing of K_{3,3} on {0,1,2} | {3,4,5} or of
-    K_6 on 0..5 (the vertex layouts every atlas holds)."""
+    """The crossing mask of a drawing on a target's vertex layout."""
     return _mask_of_pairs(r.crossings)
 
 
@@ -257,7 +277,7 @@ def crossing_mask_of(r: GeometricRealization) -> int:
 def automorphisms(target: str) -> tuple[tuple[int, ...], ...]:
     """The automorphisms of the target graph as vertex images (vertex v
     goes to p[v]), sorted; row k of symmetry_table is the k-th."""
-    return tuple(sorted(map(tuple, all_graph_automorphisms(_GRAPHS[target]))))
+    return tuple(sorted(map(tuple, all_graph_automorphisms(TARGETS[target].graph))))
 
 
 @cache
@@ -287,22 +307,24 @@ def carries(target: str, mask: int, into: int) -> bool:
 
 
 @cache
+def _k6_masks() -> tuple[int, ...]:
+    """Every mask a K_6 drawing can have: the 4,524 distinct masks of the
+    chirotopes of chirotopes_of_six, in that order (a chirotope and its
+    negation cross alike: a crossing test compares products of two signs)."""
+    return tuple(dict.fromkeys(crossing_mask(c, 6) for c in chirotopes_of_six() if c & 1))
+
+
+@cache
 def proven_classes(target: str) -> dict[int, int]:
     """Every crossing mask a drawing of the target can have, mapped to its
-    class (0, 1, ...): the masks of one class form one orbit.  For K_6:
-    the 4,524 distinct masks of the chirotopes of chirotopes_of_six, in 15
-    classes (a chirotope and its negation cross alike, since a crossing
-    test compares products of two signs, so half the codes suffice).  For
-    K_{3,3}: the 768 masks m & _K33_BITS of those K_6 masks m, the
-    drawings on {0,1,2} | {3,4,5}, in 19 classes (the K_6 masks are closed
-    under relabeling, so every bipartition's drawing is among them)."""
-    if target == "k6":
-        masks = (crossing_mask(code, 6) for code in chirotopes_of_six() if code & 1)
-    else:
-        masks = (mask & _K33_BITS for mask in proven_classes("k6"))
+    class (0, 1, ...): the masks m & bits of the K_6 masks m (closed under
+    relabeling, so every copy's drawing is among them), one orbit per
+    class: 4,524 masks in 15 classes for K_6, 768 in 19 for K_{3,3}."""
+    bits = TARGETS[target].bits
     classes: dict[int, int] = {}
     count = 0
-    for mask in masks:
+    for mask in _k6_masks():
+        mask &= bits
         if mask not in classes:
             # uncached: classes keeps the orbit, and nothing asks for the
             # images of these masks again
@@ -334,24 +356,26 @@ def orbit_signature(target: str, orbit_key: int) -> InvariantSignature:
     is computed once per orbit, from the target graph and the edge pairs
     of that mask."""
     pairs = [pair for bit, pair in enumerate(_PAIRS) if orbit_key >> bit & 1]
-    return crossing_signature(_GRAPHS[target], pairs)
+    return crossing_signature(TARGETS[target].graph, pairs)
 
 
 class _Dedup:
-    """Atlas classes keyed by proven class: the first drawing of a proven
-    class opens an atlas class, and every later drawing of it is a hit."""
+    """Atlas classes of one target keyed by proven class: the first drawing
+    of a proven class opens an atlas class, and every later drawing of it
+    is a hit."""
 
-    def __init__(self, target: str):
-        self.target = target
-        self.proven = proven_classes(target)
+    def __init__(self, row: Target):
+        self.row = row
+        self.proven = proven_classes(row.name)
         self.class_of: dict[int, int] = {}  # proven class -> atlas class
         self.reps: list[GeometricRealization] = []
+        self.known = 0  # classes at the end of the last observe_copies
 
     def observe(self, mask: int, materialize) -> tuple[int, bool]:
         """Class of one candidate drawing, and whether it opened the class."""
         proven = self.proven.get(mask)
         if proven is None:
-            raise AssertionError(f"a sampled {self.target} drawing lies in no proven class")
+            raise AssertionError(f"a sampled {self.row.name} drawing lies in no proven class")
         hit = self.class_of.get(proven)
         if hit is not None:
             return hit, False
@@ -365,15 +389,32 @@ class _Dedup:
         self.class_of[proven] = idx
         return idx, True
 
+    def observe_copies(
+        self, drawing: GeometricRealization, k6_mask: int
+    ) -> tuple[list[int], bool]:
+        """The class of each copy of the graph in a K_6 drawing with this
+        mask, and whether the target gained a class since the last call
+        (for K_6, whose one copy is the drawing: the class it just opened)."""
+        row = self.row
+
+        def draw(copy: Copy) -> GeometricRealization:
+            points = [drawing.points[v] for v in copy.order]
+            return make_realization(row.graph, points, parts=row.parts)
+
+        ids = [
+            self.observe(mask, lambda: draw(copy))[0]
+            for copy, mask in zip(copies(row.name), copy_masks(row.name, k6_mask))
+        ]
+        grew, self.known = len(self.reps) > self.known, len(self.reps)
+        return ids, grew
+
     def finalize(self, counts: list[int]) -> list[RealizationClass]:
-        keys = orbit_keys(self.target)
+        keys = orbit_keys(self.row.name)
         # class_of holds the proven classes in the order they opened classes
         return [
             RealizationClass(
                 representative=rep,
-                signature=orbit_signature(self.target, keys[proven]),
-                label=None,
-                provisional=True,
+                signature=orbit_signature(self.row.name, keys[proven]),
                 discovery_count=count,
             )
             for rep, proven, count in zip(self.reps, self.class_of, counts)
@@ -411,23 +452,16 @@ def _point_sets(cfg: EnumerationConfig):
     return combinations([(x, y) for x in side for y in side], 6)
 
 
-def _materialize_k33(pts, first, second):
-    """The drawing of K_{3,3} with parts first | second, relabeled onto
-    {0,1,2} | {3,4,5} in sorted order."""
-    points = [pts[old] for old in sorted(first) + sorted(second)]
-    return make_realization(_K33_GRAPH, points, parts=_K33_PARTS)
-
-
 def enumerate_atlases(
-    cfg: EnumerationConfig | None = None, targets=TARGETS
+    cfg: EnumerationConfig | None = None, targets=tuple(TARGETS)
 ) -> dict[str, Atlas]:
     """A representative of every proven class of drawings of each target
     graph, from one pass over the samples.
 
-    Relabeling the points permutes the bipartitions and keeps each one's
-    drawing isomorphic, so a sample's K_{3,3} classes depend only on its
-    K_6 class: a K_{3,3} discovery count is the sum over K_6 classes of
-    the K_6 count times the bipartitions landing in the K_{3,3} class.
+    A target's drawings are its copies in the samples' K_6 drawings, and
+    relabeling the points only permutes them, so a sample's target
+    classes depend only on its K_6 class: a discovery count is the sum over
+    K_6 classes of the K_6 count times the copies landing in the class.
     Each target closes on its own, where a pass for it alone would: as
     complete at the sample that gives it its last proven class, or as
     incomplete after cfg.stabilization_window samples without a new class
@@ -449,10 +483,13 @@ def enumerate_atlases(
     if cfg is None:
         cfg = EnumerationConfig()
     wanted = {target: proven_class_count(target) for target in targets}
-    dedup = {target: _Dedup(target) for target in TARGETS}
+    dedup = {target: _Dedup(TARGETS[target]) for target in targets}
+    # the K_6 classes, kept whether or not K_6 is a target: every target's
+    # drawings are copies inside their drawings
+    k6 = dedup.get(_K6.name) or _Dedup(_K6)
     k6_counts: list[int] = []
-    # per target, per K_6 class: the target class of each of its drawings
-    of_k6: dict[str, list[list[int]]] = {target: [] for target in TARGETS}
+    # per target, per K_6 class: the target class of each of its copies
+    of_k6: dict[str, list[list[int]]] = {target: [] for target in targets}
     # per target still sampling: where it gives up unless a new class comes
     stall_at = dict.fromkeys(targets, cfg.stabilization_window)
     atlases: dict[str, Atlas] = {}
@@ -479,24 +516,15 @@ def enumerate_atlases(
         k6_class = by_code.get(code)
         if k6_class is None:
             mask = crossing_mask(code, 6)
-            k6_class, opened = dedup["k6"].observe(
-                mask, lambda: make_realization(_K6_GRAPH, pts)
-            )
+            k6_class, opened = k6.observe(mask, lambda: make_realization(_K6.graph, pts))
             by_code[code] = k6_class
             if opened:
                 k6_counts.append(0)
-                of_k6["k6"].append([k6_class])
-                new_in = ["k6"]
-                if "k33" in stall_at:
-                    seen = [
-                        dedup["k33"].observe(m, lambda p=p: _materialize_k33(pts, *p))
-                        for m, p in zip(k33_masks(mask), bipartitions_of_6())
-                    ]
-                    of_k6["k33"].append([idx for idx, _ in seen])
-                    if any(new for _, new in seen):
-                        new_in.append("k33")
-                for target in stall_at.keys() & new_in:
-                    stall_at[target] = samples + cfg.stabilization_window
+                for target in stall_at:
+                    ids, new = dedup[target].observe_copies(k6.reps[k6_class], mask)
+                    of_k6[target].append(ids)
+                    if new:
+                        stall_at[target] = samples + cfg.stabilization_window
         k6_counts[k6_class] += 1
         for target, at in list(stall_at.items()):
             if len(dedup[target].reps) == wanted[target]:
@@ -568,17 +596,12 @@ def anchor_pair(
     ]
 
 
-def _anchor_k33(classes: list[RealizationClass]) -> dict[int, str]:
-    """Labels forced by the singleton levels and by ref.K33_ANCHORS, as
-    index -> label."""
-    anchored: dict[int, str] = {}
-    by_cr: dict[int, list[int]] = {}
-    for idx, cls in enumerate(classes):
-        by_cr.setdefault(cls.signature.cr, []).append(idx)
-    for cr, indices in by_cr.items():
-        if len(indices) == 1:
-            anchored[indices[0]] = f"{cr}.1"
-
+def _anchor_k33(
+    classes: list[RealizationClass], by_cr: dict[int, list[int]]
+) -> dict[int, str]:
+    """Labels forced by the singleton levels of by_cr (crossing count ->
+    class indices) and by ref.K33_ANCHORS, as index -> label."""
+    anchored = {indices[0]: f"{cr}.1" for cr, indices in by_cr.items() if len(indices) == 1}
     for level, uncrossed, invariants in ref.K33_ANCHORS:
         pair = anchor_pair(classes, level, uncrossed)
         if len(pair) != 2:
@@ -611,6 +634,9 @@ def assign_paper_labels(atlas: Atlas) -> Atlas:
     marked provisional.  K_6 classes get purely provisional labels.
     """
     classes = atlas.classes
+    by_cr: dict[int, list[int]] = {}
+    for idx, cls in enumerate(classes):
+        by_cr.setdefault(cls.signature.cr, []).append(idx)
     anchored: dict[int, str] = {}
     if atlas.target == "k33":
         if len(classes) != ref.K33_CLASS_COUNT:
@@ -618,37 +644,22 @@ def assign_paper_labels(atlas: Atlas) -> Atlas:
                 f"labeling needs the complete atlas of {ref.K33_CLASS_COUNT}"
                 f" classes, got {len(classes)}"
             )
-        anchored = _anchor_k33(classes)
+        anchored = _anchor_k33(classes, by_cr)
 
-    by_cr: dict[int, list[int]] = {}
-    for idx, cls in enumerate(classes):
-        by_cr.setdefault(cls.signature.cr, []).append(idx)
-
-    labeled: list[RealizationClass] = []
+    label_of = dict(anchored)
     for cr, indices in by_cr.items():
-        taken = {
-            int(anchored[i].split(".")[1]) for i in indices if i in anchored
-        }
-        free_numbers = [
-            k for k in range(1, len(indices) + 1) if k not in taken
-        ]
+        taken = {int(anchored[i].split(".")[1]) for i in indices if i in anchored}
+        free_numbers = [k for k in range(1, len(indices) + 1) if k not in taken]
         unanchored = sorted(
             (i for i in indices if i not in anchored),
             key=lambda i: classes[i].signature.sort_key(),
         )
-        for number, idx in zip(free_numbers, unanchored):
-            labeled.append(
-                replace(
-                    classes[idx], label=f"{cr}.{number}", provisional=True
-                )
-            )
-        for idx in indices:
-            if idx in anchored:
-                labeled.append(
-                    replace(classes[idx], label=anchored[idx], provisional=False)
-                )
-
-    labeled.sort(key=lambda c: _label_sort_key(c.label))
+        label_of.update((i, f"{cr}.{k}") for k, i in zip(free_numbers, unanchored))
+    labeled = sorted(
+        (replace(classes[i], label=label, provisional=i not in anchored)
+         for i, label in label_of.items()),
+        key=lambda c: _label_sort_key(c.label),
+    )
     labels = [c.label for c in labeled]
     if len(set(labels)) != len(labels):
         raise AnchorConflict(f"duplicate labels produced: {labels}")
@@ -728,17 +739,17 @@ def atlas_from_json(text: str) -> Atlas:
             sig = signature_from_dict(record["signature"])
         except (ParseError, ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
-        record_target = _target_of(rep)
-        if not _on_layout(rep):
-            raise ParseError(f"{where}: representative is not {_LAYOUTS[record_target]}")
+        # the first record fixes the atlas's target, and so the layout of the rest
+        on = _LAYOUT_TARGET.get((rep.graph, rep.parts))
+        if on is None or target not in (None, on):
+            allowed = [target] if target else TARGETS
+            layouts = " or ".join(TARGETS[name].layout for name in allowed)
+            raise ParseError(f"{where}: representative is not {layouts}")
+        target = on
         if signature(rep) != sig:
             raise ParseError(
                 f"{where}: stored signature does not match its representative"
             )
-        if target is None:
-            target = record_target
-        elif target != record_target:
-            raise ParseError(f"{where}: mixed targets in one atlas")
         orbit_key = min(mask_images(target, crossing_mask_of(rep)))
         if orbit_key in first_of_class:
             raise ParseError(

@@ -17,6 +17,7 @@ import sys
 from functools import cache
 
 from .atlas import (
+    TARGETS,
     Atlas,
     BudgetExhausted,
     ConfigError,
@@ -88,6 +89,8 @@ def cmd_enumerate(args) -> int:
     cfg = _config_from(args)
     # before sampling; with a trailing slash, stat fails unless the parent is a directory
     try:
+        if not args.out:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
         if os.path.isdir(args.out):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -218,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="discover realization classes")
-    p_enum.add_argument("--graph", choices=("k33", "k6"), default="k33")
+    p_enum.add_argument("--graph", choices=tuple(TARGETS), default="k33")
     _add_enumeration_flags(p_enum)
     p_enum.add_argument(
         "--out", default=None, help="atlas output path (default atlas_<graph>.json)"

@@ -299,7 +299,8 @@ def chirotopes_of_six() -> list[int]:
     _chirotope_constraints whose last triple it sets.  chi(0, 1, 2) = +1 is
     fixed: the 5,952 codes with bit 0 set come first, then their negations,
     which pass the same tests.  Built anew on each call (about 0.02 s, once
-    the tests are derived); the program keeps only the classes it proves.
+    the tests are derived); the program keeps only their distinct K_6
+    masks and the classes it proves.
     """
     codes = [1]
     for bit, tests in _chirotope_constraints()[1:]:

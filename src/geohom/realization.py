@@ -108,21 +108,6 @@ def rational_crossing_structure(r: GeometricRealization) -> frozenset[CrossingPa
     )
 
 
-def bipartitions_of_6() -> list[tuple[frozenset[int], frozenset[int]]]:
-    """The 10 unordered {3,3}-partitions of {0..5}, in deterministic order.
-
-    Vertex 0 is always in the first part, so each unordered partition
-    appears exactly once.
-    """
-    out = []
-    rest = [1, 2, 3, 4, 5]
-    for pair in combinations(rest, 2):
-        first = frozenset((0,) + pair)
-        second = frozenset(v for v in rest if v not in pair)
-        out.append((first, second))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON round-trip: {"n": .., "parts": .. | null, "points": [[x, y], ..],
 # "edges": [[u, v], ..]} with edges omitted when parts are given.  Field

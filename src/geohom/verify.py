@@ -28,13 +28,14 @@ from operator import getitem
 
 from . import reference_data as ref
 from .atlas import (
-    JOINING_MASKS,
     Atlas,
     ConfigError,
+    Copy,
     EnumerationConfig,
     anchor_pair,
     assign_paper_labels,
     class_invariant,
+    copies,
     crossing_histogram,
     crossing_mask_of,
     enumerate_atlases,
@@ -69,7 +70,6 @@ from .poset import (
     validate_poset,
 )
 from .realization import (
-    bipartitions_of_6,
     crossing_structure,
     rational_crossing_structure,
 )
@@ -432,23 +432,23 @@ def check_parity_property(
     )
 
 
-def _even_bipartition(mask: int) -> int | None:
-    """The first bipartition (an index into bipartitions_of_6()) whose
-    K_{3,3} drawing within a K_6 drawing with this mask crosses an even
-    number of times, or None: the mask's ten parity tests."""
-    for k, joining in enumerate(JOINING_MASKS):
-        if not (mask & joining).bit_count() & 1:
-            return k
+def _even_bipartition(mask: int) -> Copy | None:
+    """The first copy of K_{3,3} (in copies("k33") order, one per
+    bipartition) whose drawing within a K_6 drawing with this mask crosses
+    an even number of times, or None: the mask's ten parity tests."""
+    for copy in copies("k33"):
+        if not (mask & copy.bits).bit_count() & 1:
+            return copy
     return None
 
 
-def _even_parity(mask: int, k: int, where: str) -> CheckResult:
-    """The failure of the parity check at one K_6 mask and bipartition."""
+def _even_parity(mask: int, copy: Copy, where: str) -> CheckResult:
+    """The failure of the parity check at one K_6 mask and copy."""
     return CheckResult(
         "parity-property",
         False,
-        f"even crossing count {(mask & JOINING_MASKS[k]).bit_count()} {where}"
-        f" parts {sorted(map(sorted, bipartitions_of_6()[k]))}",
+        f"even crossing count {(mask & copy.bits).bit_count()} {where}"
+        f" parts {[list(copy.order[:3]), list(copy.order[3:])]}",
     )
 
 

@@ -1,13 +1,32 @@
-"""Test tooling: K_{3,3} drawings over any bipartition, and per-map
-checks that a given vertex map satisfies each necessary condition (used
-to validate the witnesses read off the symmetry table)."""
+"""Test tooling: the ten bipartitions of six vertices, K_{3,3} drawings
+over any bipartition (as they stand, or relabeled onto {0,1,2} |
+{3,4,5}), and per-map checks that a given vertex map satisfies each
+necessary condition (used to validate the witnesses read off the
+symmetry table)."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from geohom.graph_core import AbstractGraph, line_graph
 from geohom.invariants import edge_crossing_graph, uncrossed_subgraph
 from geohom.morphisms import VertexMap
 from geohom.realization import GeometricRealization, make_realization
+
+
+def bipartitions_of_6() -> list[tuple[frozenset[int], frozenset[int]]]:
+    """The 10 unordered {3,3}-partitions of {0..5}, in deterministic order.
+
+    Vertex 0 is always in the first part, so each unordered partition
+    appears exactly once.
+    """
+    out = []
+    rest = [1, 2, 3, 4, 5]
+    for pair in combinations(rest, 2):
+        first = frozenset((0,) + pair)
+        second = frozenset(v for v in rest if v not in pair)
+        out.append((first, second))
+    return out
 
 
 def make_complete_bipartite_realization(points, parts) -> GeometricRealization:
@@ -16,6 +35,15 @@ def make_complete_bipartite_realization(points, parts) -> GeometricRealization:
     n = len(a) + len(b)
     graph = AbstractGraph.from_edges(n, ((u, v) for u in a for v in b))
     return make_realization(graph, points, parts=(a, b))
+
+
+def bipartition_drawing(points, first, second) -> GeometricRealization:
+    """The drawing of K_{3,3} with parts first | second on six points,
+    relabeled onto {0,1,2} | {3,4,5} with each part in sorted order."""
+    order = sorted(first) + sorted(second)
+    return make_complete_bipartite_realization(
+        [points[v] for v in order], ({0, 1, 2}, {3, 4, 5})
+    )
 
 
 def induced_edge_map(

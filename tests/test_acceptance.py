@@ -46,12 +46,9 @@ from geohom.poset import (
     unique_maximum,
     validate_poset,
 )
-from geohom.realization import (
-    bipartitions_of_6,
-    crossing_structure,
-)
+from geohom.realization import crossing_structure
 
-from helpers import make_complete_bipartite_realization
+from helpers import bipartitions_of_6, make_complete_bipartite_realization
 
 
 def report(name, detail):

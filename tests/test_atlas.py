@@ -12,17 +12,21 @@ import geohom
 from geohom import reference_data as ref
 from geohom.atlas import (
     GRID_BOUND_LIMIT,
+    TARGETS,
     AnchorConflict,
     Atlas,
     BudgetExhausted,
     ConfigError,
+    Copy,
     EnumerationConfig,
     UnknownLabel,
-    _materialize_k33,
+    _permuted_bits,
     _point_sets,
     assign_paper_labels,
     atlas_from_json,
     atlas_to_json,
+    automorphisms,
+    copies,
     crossing_histogram,
     crossing_mask_of,
     enumerate_atlases,
@@ -44,13 +48,10 @@ from geohom.exact_geometry import (
 )
 from geohom.graph_core import ParseError
 from geohom.invariants import signature, signature_to_dict
-from geohom.realization import (
-    bipartitions_of_6,
-    realization_from_json,
-)
+from geohom.realization import rational_crossing_structure, realization_from_json
 
 from brute_force import geo_isomorphic
-from helpers import make_complete_bipartite_realization
+from helpers import bipartition_drawing, bipartitions_of_6, make_complete_bipartite_realization
 
 QUICK = dict(stabilization_window=4000, max_samples=100_000)
 
@@ -179,7 +180,7 @@ def test_k33_discovery_counts_match_a_per_sample_count():
             continue
         samples += 1
         for first, second in bipartitions_of_6():
-            mask = crossing_mask_of(_materialize_k33(pts, first, second))
+            mask = crossing_mask_of(bipartition_drawing(pts, first, second))
             (home,) = [i for i, orbit in enumerate(orbits) if mask in orbit]
             counts[home] += 1
     assert counts == [c.discovery_count for c in classes]
@@ -600,17 +601,62 @@ def test_symmetry_tables_permute_mask_bits():
     assert all(sorted(row[d] for d in layout) == layout for row in symmetry_table("k33"))
 
 
+def test_copy_table_rows():
+    # K_{3,3}'s copies are the ten bipartitions, each relabeled onto
+    # {0,1,2} | {3,4,5} part by part in sorted order, reading the K_6 mask
+    # bits whose two edges both join the parts
+    def joins(first, e):
+        return (e[0] in first) != (e[1] in first)
+
+    expected = []
+    for first, second in bipartitions_of_6():
+        order = tuple(sorted(first) + sorted(second))
+        bits = sum(
+            1 << d
+            for d, (e, f) in enumerate(disjoint_edge_pairs(6))
+            if joins(first, e) and joins(first, f)
+        )
+        relabel = _permuted_bits({old: new for new, old in enumerate(order)})
+        expected.append(Copy(order, bits, relabel))
+    assert copies("k33") == tuple(expected)
+    assert copies("k6") == (Copy(tuple(range(6)), (1 << 45) - 1, bytes(range(45))),)
+    # the 720 vertex orders fall into one coset of the automorphisms per copy
+    for target in TARGETS:
+        assert len(copies(target)) * len(automorphisms(target)) == 720
+
+
+@pytest.mark.parametrize("targets", [("k33",), ("k6",), ("k33", "k6")])
+def test_rational_check_runs_once_on_each_new_drawing(targets, monkeypatch):
+    # the K_6 drawing of each new K_6 class is checked whatever the targets
+    # (its class's drawing when K_6 is one), and every other representative
+    # once, when it opens its class
+    checked = []
+
+    def recording(r):
+        checked.append(r)
+        return rational_crossing_structure(r)
+
+    monkeypatch.setattr("geohom.atlas.rational_crossing_structure", recording)
+    atlases = enumerate_atlases(quick_cfg(), targets)
+    k6_drawings = [r for r in checked if r.parts is None]
+    k6_classes = {proven_classes("k6")[crossing_mask_of(r)] for r in k6_drawings}
+    assert len(k6_classes) == len(k6_drawings) > 0
+    reps = [c.representative for target in targets for c in atlases[target].classes]
+    assert len({id(r) for r in checked}) == len(checked)
+    assert {id(r) for r in checked} == {id(r) for r in k6_drawings + reps}
+
+
 def test_import_builds_no_symmetry_table():
     src = str(Path(geohom.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import geohom, geohom.cli\n"
-        "from geohom.atlas import orbit_keys, orbit_signature, proven_classes,"
-        " symmetry_table\n"
+        "from geohom.atlas import automorphisms, copies, orbit_keys,"
+        " orbit_signature, proven_classes, symmetry_table\n"
         "from geohom.exact_geometry import _crossing_tables\n"
-        "caches = (symmetry_table, proven_classes, orbit_keys, orbit_signature,"
-        " _crossing_tables)\n"
+        "caches = (automorphisms, copies, symmetry_table, proven_classes, orbit_keys,"
+        " orbit_signature, _crossing_tables)\n"
         "print(sum(f.cache_info().currsize for f in caches))"
     )
     out = subprocess.run(

@@ -176,7 +176,12 @@ def test_verify_with_equal_seeds_is_a_usage_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "out, code",
-    [("", errno.EISDIR), ("missing/atlas.json", errno.ENOENT), ("file/atlas.json", errno.ENOTDIR)],
+    [
+        ("", errno.EISDIR),
+        ("missing/atlas.json", errno.ENOENT),
+        ("file/atlas.json", errno.ENOTDIR),
+        (None, errno.ENOENT),  # the empty path itself
+    ],
 )
 def test_enumerate_checks_the_output_path_before_sampling(
     out, code, tmp_path, monkeypatch, capsys
@@ -187,7 +192,7 @@ def test_enumerate_checks_the_output_path_before_sampling(
 
     monkeypatch.setattr("geohom.cli.enumerate_classes", refuse)
     (tmp_path / "file").write_text("")
-    path = str(tmp_path / out)
+    path = "" if out is None else str(tmp_path / out)
     assert run(["enumerate", "--out", path]) == 1
     error = OSError(code, os.strerror(code), path)
     assert capsys.readouterr().err == f"error: cannot write {path}: {error}\n"

@@ -20,12 +20,11 @@ from hypothesis import strategies as st
 
 from geohom.atlas import (
     _PAIR_BIT,
-    JOINING_MASKS,
-    _materialize_k33,
     Atlas,
     RealizationClass,
+    copies,
+    copy_masks,
     crossing_mask_of,
-    k33_masks,
     mask_images,
     orbit_keys,
     orbit_signature,
@@ -62,7 +61,6 @@ from geohom.morphisms import (
 )
 from geohom.poset import HomPoset, build_poset
 from geohom.realization import (
-    bipartitions_of_6,
     crossing_structure,
     make_realization,
     ordered_pair,
@@ -76,7 +74,7 @@ from geohom.verify import (
 
 import brute_force
 from brute_force import geo_isomorphic, part_respecting_maps
-from helpers import make_complete_bipartite_realization
+from helpers import bipartition_drawing, bipartitions_of_6, make_complete_bipartite_realization
 
 # small coordinates make near-degenerate sets common; the full range
 # exercises products far beyond a machine word
@@ -228,9 +226,11 @@ def test_atlas_masks_match_crossing_structure(pts):
     assume(_general_position(pts))
     k6 = make_realization(K6, pts)
     assert crossing_mask(chirotope_code(pts), 6) == crossing_mask_of(k6)
-    # the K_{3,3} drawings enumerate_classes reads off, per bipartition,
-    # cross exactly where the K_6 drawing does
-    for first, second in bipartitions_of_6():
+    # the K_{3,3} drawings enumerate_classes reads off, per bipartition (a
+    # copy of the K_{3,3} row), cross exactly where the K_6 drawing does,
+    # and copy_masks reads the same masks off the K_6 mask
+    masks = copy_masks("k33", crossing_mask_of(k6))
+    for (first, second), mask in zip(bipartitions_of_6(), masks, strict=True):
         new = {old: i for i, old in enumerate(sorted(first) + sorted(second))}
 
         def relabel(e):
@@ -244,22 +244,18 @@ def test_atlas_masks_match_crossing_structure(pts):
             for e, f in crossing_structure(k6)
             if across(e) and across(f)
         }
-        k33 = _materialize_k33(pts, first, second)
+        k33 = bipartition_drawing(pts, first, second)
         assert crossing_structure(k33) == expected
-        assert crossing_mask_of(k33) == sum(1 << _PAIR_BIT[p] for p in expected)
-    # k33_masks reads the same ten masks off the K_6 mask
-    assert k33_masks(crossing_mask_of(k6)) == [
-        crossing_mask_of(_materialize_k33(pts, *parts)) for parts in bipartitions_of_6()
-    ]
+        assert crossing_mask_of(k33) == sum(1 << _PAIR_BIT[p] for p in expected) == mask
 
 
 @settings(max_examples=300, deadline=None)
 @given(drawing_points)
-def test_joining_masks_count_bipartition_crossings(pts):
+def test_copy_bits_count_bipartition_crossings(pts):
     k6_mask = crossing_mask(chirotope_code(pts), 6)
-    for (first, second), joining in zip(bipartitions_of_6(), JOINING_MASKS):
-        k33 = _materialize_k33(pts, first, second)
-        assert (k6_mask & joining).bit_count() == len(crossing_structure(k33))
+    for (first, second), copy in zip(bipartitions_of_6(), copies("k33"), strict=True):
+        k33 = bipartition_drawing(pts, first, second)
+        assert (k6_mask & copy.bits).bit_count() == len(crossing_structure(k33))
 
 
 def _edge(u, v):

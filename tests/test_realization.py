@@ -17,7 +17,6 @@ from geohom.graph_core import (
     complete_graph,
 )
 from geohom.realization import (
-    bipartitions_of_6,
     crossing_structure,
     make_realization,
     rational_crossing_structure,
@@ -25,7 +24,7 @@ from geohom.realization import (
     realization_to_json,
 )
 
-from helpers import make_complete_bipartite_realization
+from helpers import bipartitions_of_6, make_complete_bipartite_realization
 
 TRIANGLE = AbstractGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 

@@ -336,7 +336,7 @@ def test_parity_property_tests_each_mask_once(monkeypatch):
     monkeypatch.setattr("geohom.verify._even_bipartition", counted)
     result = check_parity_property()
     assert result.passed, result.detail
-    assert len(calls) * len(atlas.JOINING_MASKS) == 45_240
+    assert len(calls) * len(atlas.copies("k33")) == 45_240
     assert len(calls) == len(set(calls)) == len(atlas.proven_classes("k6"))
 
 
