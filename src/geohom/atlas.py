@@ -465,7 +465,10 @@ def enumerate_atlases(
     Each target closes on its own, where a pass for it alone would: as
     complete at the sample that gives it its last proven class, or as
     incomplete after cfg.stabilization_window samples without a new class
-    of it.  The pass ends once all have closed.
+    of it.  The pass ends once all have closed.  A target gains classes
+    and moves its stall point only at a sample that opens a K_6 class, so
+    the close tests run only there and at the earliest pending stall
+    point, not after every sample.
 
     The sample budget cfg.max_samples counts every draw, degenerate ones
     (a repeated point or a collinear triple) too, so it ends a run of
@@ -508,12 +511,15 @@ def enumerate_atlases(
     # the mask is built and deduped only on a miss, and only a miss opens
     by_code: dict[int, int] = {}
     samples = 0
+    # the earliest stall point of the targets still sampling
+    next_stall = cfg.stabilization_window
     for pts in islice(_point_sets(cfg), cfg.max_samples):
         code = chirotope_code(pts)
         if code is None:
             continue
         samples += 1
         k6_class = by_code.get(code)
+        opened = False
         if k6_class is None:
             mask = crossing_mask(code, 6)
             k6_class, opened = k6.observe(mask, lambda: make_realization(_K6.graph, pts))
@@ -526,13 +532,15 @@ def enumerate_atlases(
                     if new:
                         stall_at[target] = samples + cfg.stabilization_window
         k6_counts[k6_class] += 1
-        for target, at in list(stall_at.items()):
-            if len(dedup[target].reps) == wanted[target]:
-                close(target, True)
-            elif at == samples:
-                close(target, False)
-        if not stall_at:
-            break
+        if opened or samples == next_stall:
+            for target, at in list(stall_at.items()):
+                if len(dedup[target].reps) == wanted[target]:
+                    close(target, True)
+                elif at == samples:
+                    close(target, False)
+            if not stall_at:
+                break
+            next_stall = min(stall_at.values())
     for target in list(stall_at):
         close(target, False)
     for target in targets:

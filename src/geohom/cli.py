@@ -76,12 +76,10 @@ def _histogram_text(atlas: Atlas) -> str:
 
 def _pinned(args):
     """Load or build a complete k33 atlas and pin its labels: the pinned
-    atlas, its order and the cover mismatches."""
-    atlas = (
-        load_k33_atlas(args.atlas)
-        if getattr(args, "atlas", None)
-        else enumerate_classes("k33", _config_from(args))
-    )
+    atlas, its order and the cover mismatches.  The enumeration flags are
+    validated even when --atlas makes them unused."""
+    cfg = _config_from(args)
+    atlas = load_k33_atlas(args.atlas) if args.atlas else enumerate_classes("k33", cfg)
     return pin_reference_labels(atlas)
 
 

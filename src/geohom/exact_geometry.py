@@ -2,21 +2,24 @@
 
 Everything here is pure integer arithmetic: no floats, no epsilons.  An
 orientation test is the sign of a 3x3 determinant of coordinate
-differences, so with coordinates bounded by 2**20 every intermediate
-value fits comfortably in a machine word even outside CPython.
+differences.  With coordinates bounded by 2**20, each difference (from
+the first point, in the six-point kernel) lies within 2**21 and every
+intermediate value below 2**45, so it fits comfortably in a machine word
+even outside CPython.
 
 Every crossing decision comes from one table, the chirotope: the signs
 of all index triples of a point set (``orientation_signs``), packed into
 one int with a bit per triple (``chirotope_code``; for six points
-straight-line code over the 15 pairwise cross products).  Disjoint
-segments ab and cd cross iff c, d lie on opposite sides of ab and a, b
-lie on opposite sides of cd: each side test is the XOR of two chirotope
-bits, so the whole crossing mask is the AND of two affine GF(2) maps of
-the code, which ``crossing_mask`` evaluates by one table lookup per
-7-bit chunk.  Which packed tables six points in general position can
-have at all is enumerated from the oriented-matroid axioms
-(``chirotopes_of_six``).  ``segments_cross_rational`` decides crossings
-by intersecting supporting lines instead, sharing none of this.
+straight-line code over the ten cross products of the differences from
+the first point).  Disjoint segments ab and cd cross iff c, d lie on
+opposite sides of ab and a, b lie on opposite sides of cd: each side
+test is the XOR of two chirotope bits, so the whole crossing mask is the
+AND of two affine GF(2) maps of the code, which ``crossing_mask``
+evaluates by one table lookup per 7-bit chunk.  Which packed tables six
+points in general position can have at all is enumerated from the
+oriented-matroid axioms (``chirotopes_of_six``).
+``segments_cross_rational`` decides crossings by intersecting supporting
+lines instead, sharing none of this.
 """
 
 from __future__ import annotations
@@ -107,9 +110,13 @@ def chirotope_code(pts) -> int | None:
     iff orientation_signs(pts)[t] is +1.  None at the first zero sign (a
     collinear triple or a repeated point).
 
-    For six points, the hot path of sampling, written out in full: with
-    the 15 cross products c_ij = x_i y_j - y_i x_j, the orientation
-    determinant of triple (i, j, k) is exactly c_ij + c_jk - c_ik.
+    For six points, the hot path of sampling, written out in full around
+    the first point: with u_i, v_i = x_i - x_0, y_i - y_0 and the ten
+    cross products c_jk = u_j v_k - v_j u_k (1 <= j < k <= 5), the
+    orientation determinant of triple (0, j, k) is c_jk and that of
+    triple (i, j, k), i >= 1, is exactly c_ij + c_jk - c_ik: 20
+    multiplications in all.  Each product is formed where a triple first
+    needs it.
     """
     if len(pts) != 6:
         signs = orientation_signs(pts)
@@ -117,72 +124,62 @@ def chirotope_code(pts) -> int | None:
             return None
         return sum(1 << t for t, sign in enumerate(signs) if sign > 0)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5) = pts
-    c01 = x0 * y1 - y0 * x1
-    c02 = x0 * y2 - y0 * x2
-    c12 = x1 * y2 - y1 * x2
-    d = c01 + c12 - c02
-    if d > 0:
+    u1, v1 = x1 - x0, y1 - y0
+    u2, v2 = x2 - x0, y2 - y0
+    c12 = u1 * v2 - v1 * u2
+    if c12 > 0:
         code = 1
-    elif d:
+    elif c12:
         code = 0
     else:
         return None
-    c03 = x0 * y3 - y0 * x3
-    c13 = x1 * y3 - y1 * x3
-    d = c01 + c13 - c03
-    if d > 0:
+    u3, v3 = x3 - x0, y3 - y0
+    c13 = u1 * v3 - v1 * u3
+    if c13 > 0:
         code |= 1 << 1
-    elif not d:
+    elif not c13:
         return None
-    c04 = x0 * y4 - y0 * x4
-    c14 = x1 * y4 - y1 * x4
-    d = c01 + c14 - c04
-    if d > 0:
+    u4, v4 = x4 - x0, y4 - y0
+    c14 = u1 * v4 - v1 * u4
+    if c14 > 0:
         code |= 1 << 2
-    elif not d:
+    elif not c14:
         return None
-    c05 = x0 * y5 - y0 * x5
-    c15 = x1 * y5 - y1 * x5
-    d = c01 + c15 - c05
-    if d > 0:
+    u5, v5 = x5 - x0, y5 - y0
+    c15 = u1 * v5 - v1 * u5
+    if c15 > 0:
         code |= 1 << 3
-    elif not d:
+    elif not c15:
         return None
-    c23 = x2 * y3 - y2 * x3
-    d = c02 + c23 - c03
-    if d > 0:
+    c23 = u2 * v3 - v2 * u3
+    if c23 > 0:
         code |= 1 << 4
-    elif not d:
+    elif not c23:
         return None
-    c24 = x2 * y4 - y2 * x4
-    d = c02 + c24 - c04
-    if d > 0:
+    c24 = u2 * v4 - v2 * u4
+    if c24 > 0:
         code |= 1 << 5
-    elif not d:
+    elif not c24:
         return None
-    c25 = x2 * y5 - y2 * x5
-    d = c02 + c25 - c05
-    if d > 0:
+    c25 = u2 * v5 - v2 * u5
+    if c25 > 0:
         code |= 1 << 6
-    elif not d:
+    elif not c25:
         return None
-    c34 = x3 * y4 - y3 * x4
-    d = c03 + c34 - c04
-    if d > 0:
+    c34 = u3 * v4 - v3 * u4
+    if c34 > 0:
         code |= 1 << 7
-    elif not d:
+    elif not c34:
         return None
-    c35 = x3 * y5 - y3 * x5
-    d = c03 + c35 - c05
-    if d > 0:
+    c35 = u3 * v5 - v3 * u5
+    if c35 > 0:
         code |= 1 << 8
-    elif not d:
+    elif not c35:
         return None
-    c45 = x4 * y5 - y4 * x5
-    d = c04 + c45 - c05
-    if d > 0:
+    c45 = u4 * v5 - v4 * u5
+    if c45 > 0:
         code |= 1 << 9
-    elif not d:
+    elif not c45:
         return None
     d = c12 + c23 - c13
     if d > 0:

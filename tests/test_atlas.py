@@ -20,6 +20,7 @@ from geohom.atlas import (
     Copy,
     EnumerationConfig,
     UnknownLabel,
+    _Dedup,
     _permuted_bits,
     _point_sets,
     assign_paper_labels,
@@ -476,6 +477,8 @@ def test_load_rejects_mixed_targets(quick_labeled, tmp_path):
 
 
 def test_grid_mode_small_bound_incomplete():
+    # the grid ends before the window: k33 closes at its last sample, the
+    # 998th in general position, with ten drawings counted per sample
     with pytest.raises(BudgetExhausted) as info:
         enumerate_classes(
             "k33",
@@ -483,9 +486,11 @@ def test_grid_mode_small_bound_incomplete():
                 mode="grid", coordinate_bound=3, stabilization_window=50_000
             ),
         )
+    assert str(info.value) == "stopped after 998 samples with 15 of 19 classes"
     partial = info.value.atlas
     assert not partial.complete
-    assert 0 < len(partial.classes) < 19
+    assert len(partial.classes) == 15
+    assert sum(c.discovery_count for c in partial.classes) == 9_980
 
 
 def test_grid_mode_deterministic():
@@ -512,7 +517,28 @@ def test_stalled_enumeration_is_incomplete():
         enumerate_classes("k6", EnumerationConfig(coordinate_bound=2, seed=1))
     assert not info.value.atlas.complete
     assert len(info.value.atlas.classes) == 13
-    assert str(info.value).endswith(" samples with 13 of 15 classes")
+    # the last new class comes at sample 531, and the window ends 50,000 later
+    assert str(info.value) == "stopped after 50531 samples with 13 of 15 classes"
+    assert sum(c.discovery_count for c in info.value.atlas.classes) == 50_531
+
+
+def test_one_pass_closes_a_complete_and_a_stalled_target(monkeypatch):
+    # at bound 2, seed 1, the sample that opens the 13th and last K_6 class
+    # (531) gives K_{3,3} its 19th; k6 then waits out its window alone
+    closed = {}
+    finalize = _Dedup.finalize
+
+    def recording(self, counts):
+        closed[self.row.name] = sum(counts)
+        return finalize(self, counts)
+
+    monkeypatch.setattr(_Dedup, "finalize", recording)
+    cfg = EnumerationConfig(coordinate_bound=2, seed=1, stabilization_window=2_000)
+    with pytest.raises(BudgetExhausted) as info:
+        enumerate_atlases(cfg)
+    assert str(info.value) == "stopped after 2531 samples with 13 of 15 classes"
+    # ten K_{3,3} drawings per sample
+    assert closed == {"k33": 5_310, "k6": 2_531}
 
 
 def test_exhaustive_chirotopes_and_classes():

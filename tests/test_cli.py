@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import geohom
-from geohom.atlas import load_atlas
+from geohom.atlas import atlas_to_json, load_atlas
 from geohom.cli import main
 from geohom.graph_core import ParseError
 from geohom.morphisms import hom_query
@@ -152,15 +152,23 @@ def test_unknown_flag_rejected():
         ["export", "--what", "hasse", "--max-samples", "0"],
         ["enumerate", "--bound", "2000000"],
         ["verify", "--window", "0"],
+        # A: a valid k33 atlas, which leaves the enumeration flags unused
+        ["hom", "1.1", "9.1", "--atlas", "A", "--window", "0"],
+        ["poset", "--atlas", "A", "--bound", "1"],
+        ["export", "--what", "hasse", "--atlas", "A", "--max-samples", "0"],
     ],
 )
-def test_out_of_range_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run(argv) == 2
+def test_out_of_range_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys, pinned_atlas):
+    atlas = tmp_path / "atlas.json"
+    atlas.write_text(atlas_to_json(pinned_atlas))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run([str(atlas) if arg == "A" else arg for arg in argv]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"geohom {argv[0]}: error: ")
-    assert not list(tmp_path.iterdir())  # nothing enumerated or written
+    assert not list(work.iterdir())  # nothing enumerated or written
 
 
 def test_verify_with_equal_seeds_is_a_usage_error(monkeypatch, capsys):

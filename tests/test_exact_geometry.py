@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -9,6 +9,7 @@ from geohom.exact_geometry import (
     Point,
     Segment,
     _chirotope_constraints,
+    chirotope_code,
     chirotopes_of_six,
     crossing_mask,
     find_general_position_violation,
@@ -123,6 +124,44 @@ def test_proper_cross_matches_rational_oracle():
         t = Segment(P(*coords[2]), P(*coords[3]))
         assert proper_cross(s, t) == segments_cross_rational(s, t)
         compared += 1
+
+
+def _packed_signs(pts):
+    signs = orientation_signs(pts)
+    return None if 0 in signs else sum(1 << t for t, sign in enumerate(signs) if sign > 0)
+
+
+def _grid(bound):
+    return [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
+
+
+def test_six_point_kernel_on_every_subset_of_the_3_grid():
+    # None exactly where a sign is zero: 998 of the 8,008 subsets are in
+    # general position
+    codes = [chirotope_code(pts) for pts in combinations(_grid(3), 6)]
+    assert codes == [_packed_signs(pts) for pts in combinations(_grid(3), 6)]
+    assert len(codes) == 8_008
+    assert len(codes) - codes.count(None) == 998
+
+
+def test_six_point_kernel_on_the_5_grid_prefix():
+    subsets = list(islice(combinations(_grid(5), 6), 50_000))
+    assert [chirotope_code(pts) for pts in subsets] == list(map(_packed_signs, subsets))
+
+
+def test_six_point_kernel_at_the_coordinate_limit():
+    # four corners of the [-2**20, 2**20] square and two points near two of
+    # them, each point first in turn: differences from the first point come
+    # within 3 of 2**21
+    m = COORDINATE_LIMIT
+    pts = [(m, -m), (-m, m), (-m, -m), (m, m), (m - 1, m - 3), (-m + 2, -m + 1)]
+    for shift in range(6):
+        rotated = pts[shift:] + pts[:shift]
+        x0, y0 = rotated[0]
+        assert 2 * m - 3 <= max(max(abs(x - x0), abs(y - y0)) for x, y in rotated) <= 2 * m
+        code = chirotope_code(rotated)
+        assert code is not None
+        assert code == _packed_signs(rotated)
 
 
 def test_crossing_mask_matches_the_sign_loop_on_every_chirotope():
