@@ -118,10 +118,13 @@ class UnknownLabel(KeyError):
 
 @dataclass(frozen=True)
 class EnumerationConfig:
+    """Where an enumeration's samples come from, and its budget: a run
+    stops once every proven class is found, or else incomplete once
+    max_samples draws (degenerate ones included) or the grid are spent."""
+
     coordinate_bound: int = 1000
     mode: str = "random"  # "random" | "grid"
     seed: int = 0
-    stabilization_window: int = 50_000
     max_samples: int = 500_000
 
     def __post_init__(self):
@@ -135,8 +138,6 @@ class EnumerationConfig:
             raise ConfigError(
                 f"grid mode needs a coordinate bound of at most {GRID_BOUND_LIMIT}"
             )
-        if self.stabilization_window < 1:
-            raise ConfigError("stabilization window must be positive")
         if self.max_samples < 1:
             raise ConfigError("sample budget must be positive")
 
@@ -369,7 +370,6 @@ class _Dedup:
         self.proven = proven_classes(row.name)
         self.class_of: dict[int, int] = {}  # proven class -> atlas class
         self.reps: list[GeometricRealization] = []
-        self.known = 0  # classes at the end of the last observe_copies
 
     def observe(self, mask: int, materialize) -> tuple[int, bool]:
         """Class of one candidate drawing, and whether it opened the class."""
@@ -389,24 +389,19 @@ class _Dedup:
         self.class_of[proven] = idx
         return idx, True
 
-    def observe_copies(
-        self, drawing: GeometricRealization, k6_mask: int
-    ) -> tuple[list[int], bool]:
+    def observe_copies(self, drawing: GeometricRealization, k6_mask: int) -> list[int]:
         """The class of each copy of the graph in a K_6 drawing with this
-        mask, and whether the target gained a class since the last call
-        (for K_6, whose one copy is the drawing: the class it just opened)."""
+        mask (for K_6, whose one copy is the drawing: its class)."""
         row = self.row
 
         def draw(copy: Copy) -> GeometricRealization:
             points = [drawing.points[v] for v in copy.order]
             return make_realization(row.graph, points, parts=row.parts)
 
-        ids = [
+        return [
             self.observe(mask, lambda: draw(copy))[0]
             for copy, mask in zip(copies(row.name), copy_masks(row.name, k6_mask))
         ]
-        grew, self.known = len(self.reps) > self.known, len(self.reps)
-        return ids, grew
 
     def finalize(self, counts: list[int]) -> list[RealizationClass]:
         keys = orbit_keys(self.row.name)
@@ -463,22 +458,20 @@ def enumerate_atlases(
     classes depend only on its K_6 class: a discovery count is the sum over
     K_6 classes of the K_6 count times the copies landing in the class.
     Each target closes on its own, where a pass for it alone would: as
-    complete at the sample that gives it its last proven class, or as
-    incomplete after cfg.stabilization_window samples without a new class
-    of it.  The pass ends once all have closed.  A target gains classes
-    and moves its stall point only at a sample that opens a K_6 class, so
-    the close tests run only there and at the earliest pending stall
-    point, not after every sample.
+    complete at the sample that gives it its last proven class, which is
+    always a sample that opens a K_6 class, so the close test runs only
+    there.  The pass ends once all have closed; a target still sampling
+    when the sample budget or the grid runs out closes as incomplete.
 
     The sample budget cfg.max_samples counts every draw, degenerate ones
     (a repeated point or a collinear triple) too, so it ends a run of
     degenerate draws such as a grid prefix holding a collinear triple;
-    the window, the reported sample counts and the discovery counts count
-    the non-degenerate samples alone.
+    the reported sample counts and the discovery counts count the
+    non-degenerate samples alone.
 
     Deterministic for a fixed config.  Raises BudgetExhausted for the
-    first target left incomplete (by its window, the sample budget or the
-    end of the grid); its partial atlas rides on the exception.
+    first target left incomplete; its partial atlas rides on the
+    exception.
     """
     for target in targets:
         if target not in TARGETS:
@@ -493,26 +486,22 @@ def enumerate_atlases(
     k6_counts: list[int] = []
     # per target, per K_6 class: the target class of each of its copies
     of_k6: dict[str, list[list[int]]] = {target: [] for target in targets}
-    # per target still sampling: where it gives up unless a new class comes
-    stall_at = dict.fromkeys(targets, cfg.stabilization_window)
+    sampling = list(targets)
     atlases: dict[str, Atlas] = {}
-    closed_at: dict[str, int] = {}
 
-    def close(target: str, complete: bool) -> None:
+    def close(target: str) -> None:
         counts = [0] * len(dedup[target].reps)
         for k6_count, ids in zip(k6_counts, of_k6[target]):
             for idx in ids:
                 counts[idx] += k6_count
-        atlases[target] = Atlas(target, dedup[target].finalize(counts), complete)
-        closed_at[target] = samples
-        del stall_at[target]
+        classes = dedup[target].finalize(counts)
+        atlases[target] = Atlas(target, classes, len(classes) == wanted[target])
+        sampling.remove(target)
 
     # packed chirotope -> K_6 class: equal chirotopes have equal masks, so
     # the mask is built and deduped only on a miss, and only a miss opens
     by_code: dict[int, int] = {}
     samples = 0
-    # the earliest stall point of the targets still sampling
-    next_stall = cfg.stabilization_window
     for pts in islice(_point_sets(cfg), cfg.max_samples):
         code = chirotope_code(pts)
         if code is None:
@@ -526,29 +515,22 @@ def enumerate_atlases(
             by_code[code] = k6_class
             if opened:
                 k6_counts.append(0)
-                for target in stall_at:
-                    ids, new = dedup[target].observe_copies(k6.reps[k6_class], mask)
-                    of_k6[target].append(ids)
-                    if new:
-                        stall_at[target] = samples + cfg.stabilization_window
+                for target in sampling:
+                    of_k6[target].append(dedup[target].observe_copies(k6.reps[k6_class], mask))
         k6_counts[k6_class] += 1
-        if opened or samples == next_stall:
-            for target, at in list(stall_at.items()):
-                if len(dedup[target].reps) == wanted[target]:
-                    close(target, True)
-                elif at == samples:
-                    close(target, False)
-            if not stall_at:
+        if opened:
+            for target in [t for t in sampling if len(dedup[t].reps) == wanted[t]]:
+                close(target)
+            if not sampling:
                 break
-            next_stall = min(stall_at.values())
-    for target in list(stall_at):
-        close(target, False)
+    for target in list(sampling):
+        close(target)
     for target in targets:
         atlas = atlases[target]
         if not atlas.complete:
             raise BudgetExhausted(
                 atlas,
-                f"stopped after {closed_at[target]} samples with"
+                f"stopped after {samples} samples with"
                 f" {len(atlas.classes)} of {wanted[target]} classes",
             )
     return {target: atlases[target] for target in targets}
@@ -627,7 +609,8 @@ def _anchor_k33(
     return anchored
 
 
-def _label_sort_key(label: str) -> tuple[int, int]:
+def label_sort_key(label: str) -> tuple[int, int]:
+    """Labels "<cr>.<k>" in order: by crossing number, then by k."""
     level, index = label.split(".")
     return (int(level), int(index))
 
@@ -666,7 +649,7 @@ def assign_paper_labels(atlas: Atlas) -> Atlas:
     labeled = sorted(
         (replace(classes[i], label=label, provisional=i not in anchored)
          for i, label in label_of.items()),
-        key=lambda c: _label_sort_key(c.label),
+        key=lambda c: label_sort_key(c.label),
     )
     labels = [c.label for c in labeled]
     if len(set(labels)) != len(labels):
@@ -706,7 +689,7 @@ def atlas_from_json(text: str) -> Atlas:
     ParseError."""
     try:
         records = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad atlas JSON: {exc}") from exc
     if not isinstance(records, list):
         raise ParseError("atlas JSON must be an array of class records")

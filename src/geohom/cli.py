@@ -50,10 +50,6 @@ def _add_enumeration_flags(parser: argparse.ArgumentParser) -> None:
         help="coordinate bound (grid mode sweeps [0, bound]^2)",
     )
     parser.add_argument(
-        "--window", type=int, default=50_000,
-        help="samples without a new class before giving up as incomplete",
-    )
-    parser.add_argument(
         "--max-samples", type=int, default=500_000,
         help="hard budget of draws, degenerate ones included",
     )
@@ -64,7 +60,6 @@ def _config_from(args) -> EnumerationConfig:
         coordinate_bound=args.bound,
         mode=args.mode,
         seed=args.seed,
-        stabilization_window=args.window,
         max_samples=args.max_samples,
     )
 
@@ -130,7 +125,6 @@ def cmd_verify(args) -> int:
     results, _ = run_verification(
         args.seed,
         args.seed2,
-        window=args.window,
         max_samples=args.max_samples,
         bound=args.bound,
         atlas_path=args.atlas,
@@ -230,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--seed2", type=int, default=101)
     p_verify.add_argument("--bound", type=int, default=None)
-    p_verify.add_argument("--window", type=int, default=None)
     p_verify.add_argument("--max-samples", type=int, default=None)
     p_verify.add_argument(
         "--atlas", default=None, help="validate this atlas file as well"

@@ -129,7 +129,7 @@ def realization_to_json(r: GeometricRealization) -> str:
 def realization_from_json(text: str) -> GeometricRealization:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad realization JSON: {exc}") from exc
     return realization_from_payload(payload)
 

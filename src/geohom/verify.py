@@ -39,6 +39,7 @@ from .atlas import (
     crossing_histogram,
     crossing_mask_of,
     enumerate_atlases,
+    label_sort_key,
     load_atlas,
     proven_class_count,
     proven_classes,
@@ -244,10 +245,7 @@ def pin_reference_labels(
     )
     poset = build_poset(labeled)
     labeling, mismatches = resolve_reference_labeling(poset)
-    ordered = sorted(
-        labeling.items(),
-        key=lambda item: tuple(int(k) for k in item[0].split(".")),
-    )
+    ordered = sorted(labeling.items(), key=lambda item: label_sort_key(item[0]))
     order = [i for _, i in ordered]
     classes = [replace(labeled.classes[i], label=label) for label, i in ordered]
     pinned_poset = poset_from_leq(
@@ -291,7 +289,6 @@ def build_artifacts(
     seed_a: int = DEFAULT_SEED_A,
     seed_b: int = DEFAULT_SEED_B,
     *,
-    window: int | None = None,
     max_samples: int | None = None,
     bound: int | None = None,
     atlas_path=None,
@@ -300,7 +297,6 @@ def build_artifacts(
     if seed_a == seed_b:
         raise ConfigError(f"the two seeds must differ, got {seed_a} twice")
     given = {
-        "stabilization_window": window,
         "max_samples": max_samples,
         "coordinate_bound": bound,
     }
@@ -623,7 +619,9 @@ def _validate_poset_file(path, art: VerificationArtifacts) -> list[str]:
             payload[key]
             for key in ("labels", "leq", "hasse_edges", "rank", "cr", "thickness")
         )
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (
+        OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError
+    ) as exc:
         return [f"unreadable poset file: {exc}"]
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         return ["supplied poset: labels is not a list of strings"]
@@ -785,7 +783,6 @@ def run_verification(
     seed_a: int = DEFAULT_SEED_A,
     seed_b: int = DEFAULT_SEED_B,
     *,
-    window: int | None = None,
     max_samples: int | None = None,
     bound: int | None = None,
     atlas_path=None,
@@ -799,7 +796,6 @@ def run_verification(
     art = build_artifacts(
         seed_a,
         seed_b,
-        window=window,
         max_samples=max_samples,
         bound=bound,
         atlas_path=atlas_path,

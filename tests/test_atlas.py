@@ -54,7 +54,7 @@ from geohom.realization import rational_crossing_structure, realization_from_jso
 from brute_force import geo_isomorphic
 from helpers import bipartition_drawing, bipartitions_of_6, make_complete_bipartite_realization
 
-QUICK = dict(stabilization_window=4000, max_samples=100_000)
+QUICK = dict(max_samples=100_000)
 
 
 def quick_cfg(seed=7, **overrides):
@@ -80,8 +80,6 @@ def test_config_validation():
         EnumerationConfig(coordinate_bound=1)
     with pytest.raises(ValueError):
         EnumerationConfig(coordinate_bound=1 << 21)
-    with pytest.raises(ValueError):
-        EnumerationConfig(stabilization_window=0)
     with pytest.raises(ValueError):
         EnumerationConfig(max_samples=0)
     # grid mode builds its point pool up front, so its bound has a limit
@@ -164,7 +162,7 @@ def test_discovery_counts(quick_atlas):
 def test_k33_discovery_counts_match_a_per_sample_count():
     # counts derived from K_6 classes equal a count of every drawing of
     # every sample
-    cfg = EnumerationConfig(seed=7, stabilization_window=10_000, max_samples=500)
+    cfg = EnumerationConfig(seed=7, max_samples=500)
     with pytest.raises(BudgetExhausted) as info:
         enumerate_classes("k33", cfg)
     classes = info.value.atlas.classes
@@ -197,7 +195,7 @@ def _samples(atlas):
 def test_one_pass_matches_single_target_passes():
     # at seed 0 the last new K_{3,3} class comes at sample 328 and the last
     # new K_6 class at 763, so the two targets stop at different samples
-    cfg = EnumerationConfig(seed=0, stabilization_window=500)
+    cfg = EnumerationConfig(seed=0)
     both = enumerate_atlases(cfg)
     assert list(both) == ["k33", "k6"]
     assert (_samples(both["k33"]), _samples(both["k6"])) == (328, 763)
@@ -238,7 +236,7 @@ def _countless_sha256(text):
 @pytest.mark.parametrize("target, mode", list(ATLAS_DIGESTS))
 def test_atlas_bytes_pinned(target, mode):
     if mode == "random":
-        cfg = EnumerationConfig(seed=0, stabilization_window=500)
+        cfg = EnumerationConfig(seed=0)
     else:
         cfg = EnumerationConfig(mode="grid", coordinate_bound=5)
     text = atlas_to_json(enumerate_classes(target, cfg))
@@ -276,7 +274,7 @@ def test_crossing_mask_built_once_per_chirotope(monkeypatch):
     proven_classes("k33")
     monkeypatch.setattr("geohom.atlas._point_sets", recording)
     monkeypatch.setattr("geohom.atlas.crossing_mask", counted)
-    both = enumerate_atlases(EnumerationConfig(seed=0, stabilization_window=500))
+    both = enumerate_atlases(EnumerationConfig(seed=0))
     codes = [chirotope_code(pts) for pts in drawn]
     distinct = {code for code in codes if code is not None}
     assert _samples(both["k6"]) == len(codes) - codes.count(None) == 763
@@ -286,7 +284,7 @@ def test_crossing_mask_built_once_per_chirotope(monkeypatch):
 
 def test_one_pass_budget_cuts_only_the_later_target():
     # k33 is covered at sample 328, the last K_6 class comes at 763
-    cfg = EnumerationConfig(seed=0, stabilization_window=500, max_samples=700)
+    cfg = EnumerationConfig(seed=0, max_samples=700)
     assert enumerate_classes("k33", cfg).complete
     with pytest.raises(BudgetExhausted) as single:
         enumerate_classes("k6", cfg)
@@ -477,15 +475,10 @@ def test_load_rejects_mixed_targets(quick_labeled, tmp_path):
 
 
 def test_grid_mode_small_bound_incomplete():
-    # the grid ends before the window: k33 closes at its last sample, the
+    # the grid ends before the budget: k33 closes at its last sample, the
     # 998th in general position, with ten drawings counted per sample
     with pytest.raises(BudgetExhausted) as info:
-        enumerate_classes(
-            "k33",
-            EnumerationConfig(
-                mode="grid", coordinate_bound=3, stabilization_window=50_000
-            ),
-        )
+        enumerate_classes("k33", EnumerationConfig(mode="grid", coordinate_bound=3))
     assert str(info.value) == "stopped after 998 samples with 15 of 19 classes"
     partial = info.value.atlas
     assert not partial.complete
@@ -494,9 +487,7 @@ def test_grid_mode_small_bound_incomplete():
 
 
 def test_grid_mode_deterministic():
-    cfg = EnumerationConfig(
-        mode="grid", coordinate_bound=3, stabilization_window=50_000
-    )
+    cfg = EnumerationConfig(mode="grid", coordinate_bound=3)
     with pytest.raises(BudgetExhausted) as first:
         enumerate_classes("k33", cfg)
     with pytest.raises(BudgetExhausted) as second:
@@ -511,20 +502,22 @@ def test_grid_bound_4_covers_k33():
 
 
 def test_stalled_enumeration_is_incomplete():
-    # at bound 2 two K_6 classes never appear; waiting out the window does
-    # not make the 13 found ones complete
+    # at bound 2 two K_6 classes never appear, so the 13 found ones stay
+    # incomplete until the budget of 500,000 draws runs out
     with pytest.raises(BudgetExhausted) as info:
         enumerate_classes("k6", EnumerationConfig(coordinate_bound=2, seed=1))
     assert not info.value.atlas.complete
     assert len(info.value.atlas.classes) == 13
-    # the last new class comes at sample 531, and the window ends 50,000 later
-    assert str(info.value) == "stopped after 50531 samples with 13 of 15 classes"
-    assert sum(c.discovery_count for c in info.value.atlas.classes) == 50_531
+    # the last new class comes at sample 531; 54,289 of the draws are in
+    # general position
+    assert str(info.value) == "stopped after 54289 samples with 13 of 15 classes"
+    assert sum(c.discovery_count for c in info.value.atlas.classes) == 54_289
 
 
 def test_one_pass_closes_a_complete_and_a_stalled_target(monkeypatch):
     # at bound 2, seed 1, the sample that opens the 13th and last K_6 class
-    # (531) gives K_{3,3} its 19th; k6 then waits out its window alone
+    # (531) gives K_{3,3} its 19th; k6 then samples alone until the budget
+    # of 20,000 draws runs out, 2,177 of them in general position
     closed = {}
     finalize = _Dedup.finalize
 
@@ -533,12 +526,12 @@ def test_one_pass_closes_a_complete_and_a_stalled_target(monkeypatch):
         return finalize(self, counts)
 
     monkeypatch.setattr(_Dedup, "finalize", recording)
-    cfg = EnumerationConfig(coordinate_bound=2, seed=1, stabilization_window=2_000)
+    cfg = EnumerationConfig(coordinate_bound=2, seed=1, max_samples=20_000)
     with pytest.raises(BudgetExhausted) as info:
         enumerate_atlases(cfg)
-    assert str(info.value) == "stopped after 2531 samples with 13 of 15 classes"
+    assert str(info.value) == "stopped after 2177 samples with 13 of 15 classes"
     # ten K_{3,3} drawings per sample
-    assert closed == {"k33": 5_310, "k6": 2_531}
+    assert closed == {"k33": 5_310, "k6": 2_177}
 
 
 def test_exhaustive_chirotopes_and_classes():
@@ -577,7 +570,7 @@ def test_random_mode_budget_exhaustion():
     with pytest.raises(BudgetExhausted) as info:
         enumerate_classes(
             "k33",
-            EnumerationConfig(seed=7, stabilization_window=10_000, max_samples=60),
+            EnumerationConfig(seed=7, max_samples=60),
         )
     assert not info.value.atlas.complete
     assert len(info.value.atlas.classes) >= 1

@@ -14,7 +14,7 @@ from geohom.cli import main
 from geohom.graph_core import ParseError
 from geohom.morphisms import hom_query
 
-FAST = ["--window", "3000", "--max-samples", "100000"]
+FAST = ["--max-samples", "100000"]
 
 
 def run(args):
@@ -105,7 +105,7 @@ def test_grid_budget_counts_degenerate_draws(tmp_path):
     out = tmp_path / "grid.json"
     done = _python_m(
         "geohom", "enumerate", "--mode", "grid", "--bound", "50",
-        "--max-samples", "1000", "--window", "100", "--out", str(out),
+        "--max-samples", "1000", "--out", str(out),
         timeout=60,
     )
     assert done.returncode == 2, done.stderr
@@ -130,7 +130,7 @@ def test_python_m_reports_usage_error(module):
 
 def test_python_m_verify_prints_ten_passes():
     done = _python_m(
-        "geohom", "verify", "--window", "3000", "--parity-sets", "100", "--quadruples", "50"
+        "geohom", "verify", "--parity-sets", "100", "--quadruples", "50"
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -148,12 +148,12 @@ def test_unknown_flag_rejected():
     "argv",
     [
         ["poset", "--bound", "1"],
-        ["hom", "3.1", "5.1", "--window", "0"],
+        ["hom", "3.1", "5.1", "--max-samples", "0"],
         ["export", "--what", "hasse", "--max-samples", "0"],
         ["enumerate", "--bound", "2000000"],
-        ["verify", "--window", "0"],
+        ["verify", "--max-samples", "0"],
         # A: a valid k33 atlas, which leaves the enumeration flags unused
-        ["hom", "1.1", "9.1", "--atlas", "A", "--window", "0"],
+        ["hom", "1.1", "9.1", "--atlas", "A", "--bound", "1"],
         ["poset", "--atlas", "A", "--bound", "1"],
         ["export", "--what", "hasse", "--atlas", "A", "--max-samples", "0"],
     ],
@@ -169,6 +169,28 @@ def test_out_of_range_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys, p
     assert len(err.splitlines()) == 1
     assert err.startswith(f"geohom {argv[0]}: error: ")
     assert not list(work.iterdir())  # nothing enumerated or written
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["enumerate"], ["verify"], ["hom", "3.1", "5.1"], ["poset"], ["export", "--what", "hasse"]],
+    ids=lambda command: command[0],
+)
+def test_window_flag_is_unknown(command, tmp_path, monkeypatch, capsys):
+    # enumerations stop at completeness or the budget: no command takes a window
+    def refuse(*args, **kwargs):
+        raise AssertionError("file read or sample drawn")
+
+    for name in ("atlas.enumerate_atlases", "verify.enumerate_atlases", "verify.load_atlas"):
+        monkeypatch.setattr(f"geohom.{name}", refuse)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        run([*command, "--window", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("usage: geohom ")
+    assert err[1] == "geohom: error: unrecognized arguments: --window 1"
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_with_equal_seeds_is_a_usage_error(monkeypatch, capsys):
@@ -262,6 +284,45 @@ def test_non_utf8_file_is_an_error(tmp_path, capsys):
         line.startswith("FAIL poset-structure") and "unreadable poset file" in line
         for line in lines
     )
+
+
+@pytest.fixture
+def deep_json(tmp_path):
+    """A JSON file nested deeper than the parser's recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+def test_deeply_nested_atlas_is_an_error(deep_json, capsys):
+    assert run(["hom", "1.1", "9.1", "--atlas", str(deep_json)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad atlas JSON: ")
+
+
+@pytest.mark.parametrize(
+    "flag, check, problem",
+    [
+        ("--atlas", "atlas-counts", "supplied atlas rejected: bad atlas JSON: "),
+        ("--poset", "poset-structure", "unreadable poset file: "),
+    ],
+    ids=["atlas", "poset"],
+)
+def test_verify_rejects_deeply_nested_file(
+    flag, check, problem, deep_json, atlases_a, atlases_b, monkeypatch, capsys
+):
+    # the sampled atlases are the session's; only the supplied file varies
+    monkeypatch.setattr(
+        "geohom.verify.enumerate_atlases",
+        lambda cfg: {7: atlases_a, 101: atlases_b}[cfg.seed],
+    )
+    rc = run(["verify", flag, str(deep_json), "--parity-sets", "100", "--quadruples", "50"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"FAILED: {check}\n"
+    failing = [line for line in captured.out.splitlines() if not line.startswith("PASS ")]
+    assert len(failing) == 1
+    assert failing[0].startswith(f"FAIL {check}") and problem in failing[0]
 
 
 @pytest.mark.parametrize(
@@ -463,7 +524,6 @@ def test_verify_passes(capsys):
             "verify",
             "--seed", "7",
             "--seed2", "101",
-            "--window", "3000",
             "--max-samples", "100000",
             "--parity-sets", "300",
             "--quadruples", "150",
@@ -486,7 +546,6 @@ def test_verify_flags_truncated_atlas(tmp_path, capsys):
         [
             "verify",
             "--atlas", str(atlas),
-            "--window", "3000",
             "--max-samples", "100000",
             "--parity-sets", "100",
             "--quadruples", "50",

@@ -213,6 +213,9 @@ def test_json_roundtrip_plain_graph():
 def test_json_parse_errors():
     with pytest.raises(ParseError):
         realization_from_json("{not json")
+    # nested deeper than the parser's recursion limit
+    with pytest.raises(ParseError, match="^bad realization JSON: "):
+        realization_from_json("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ParseError):
         realization_from_json('{"n": 3, "parts": null, "points": [[0,0],[1,0],[0,1]]}')
     with pytest.raises(ParseError):

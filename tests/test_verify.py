@@ -76,7 +76,6 @@ def test_pinned_atlas_label_order(pinned_atlas):
 
 def test_run_verification_quick():
     results, art = run_verification(
-        window=3000,
         max_samples=100_000,
         parity_sets=200,
         oracle_quadruples=100,
@@ -101,7 +100,7 @@ def test_poset_file_validation(tmp_path, hom_poset):
     path = tmp_path / "poset.json"
     path.write_text(poset_to_json(hom_poset))
 
-    art = build_artifacts(window=3000, max_samples=100_000)
+    art = build_artifacts(max_samples=100_000)
     result = check_poset_structure(art, path)
     assert result.passed, result.detail
 
@@ -174,7 +173,7 @@ def test_build_artifacts_samples_each_seed_once(monkeypatch):
         return point_sets(cfg)
 
     monkeypatch.setattr(atlas, "_point_sets", counted)
-    build_artifacts(window=3000, max_samples=100_000)
+    build_artifacts(max_samples=100_000)
     assert calls == [7, 101]
 
 
