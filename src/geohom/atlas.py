@@ -20,20 +20,20 @@ Which classes exist is proven, not sampled: ``proven_classes`` takes the
 4,524 distinct K_6 masks m of the 11,904 labeled chirotopes of six
 points (``chirotopes_of_six``) and maps each mask m & bits of a row to
 its orbit: 15 classes for K_6, 19 for K_{3,3}.  Sampling finds a
-representative drawing of each.
+representative drawing of each.  The proof's masks are built once per
+process, one ``crossing_mask`` per chirotope and its negation, and from
+them every chirotope's proven K_6 class (``chirotope_classes``).
 
-A sample costs one kernel call and one dict lookup: the 6-point
-configuration's packed chirotope (``chirotope_code``) keys a memo of K_6
-classes, so the rest runs only on a miss, and only a miss can open a
-class: the K_6 mask is built from the chirotope and looked up among the
-proven classes.  When a new K_6 class is seen, every target still
-sampling reads its copies' masks off that K_6 mask, so one pass over
-the samples yields every atlas.  A target is complete at the sample
-that gives it its last proven class.  One that goes a configurable
-number of samples without a new class, or runs out of budget, raises
-BudgetExhausted with the partial result.  Random configurations come
-from ``random_point_sets``, the one seeded generator, which the parity
-check in ``verify`` draws from too.
+A sample costs one kernel call and one lookup in that table: the 6-point
+configuration's packed chirotope (``chirotope_code``) names its proven
+K_6 class.  Only a sample that opens a K_6 class has its K_6 mask
+built; every target still sampling then reads its copies' masks off
+that mask, so one pass over the samples yields every atlas.  A target is
+complete at the sample that gives it its last proven class; one whose
+sample budget or grid runs out first raises BudgetExhausted with the
+partial result.  Random configurations come from ``random_point_sets``,
+the one seeded generator, which the parity check in ``verify`` draws
+from too.
 
 A class's invariant signature depends only on its orbit:
 ``orbit_signature`` computes it once per orbit per process, from the
@@ -307,24 +307,17 @@ def carries(target: str, mask: int, into: int) -> bool:
     return False
 
 
-@cache
-def _k6_masks() -> tuple[int, ...]:
-    """Every mask a K_6 drawing can have: the 4,524 distinct masks of the
-    chirotopes of chirotopes_of_six, in that order (a chirotope and its
-    negation cross alike: a crossing test compares products of two signs)."""
-    return tuple(dict.fromkeys(crossing_mask(c, 6) for c in chirotopes_of_six() if c & 1))
+_FULL_CODE = (1 << 20) - 1  # a six-point chirotope_code with every sign +1
 
 
-@cache
-def proven_classes(target: str) -> dict[int, int]:
-    """Every crossing mask a drawing of the target can have, mapped to its
-    class (0, 1, ...): the masks m & bits of the K_6 masks m (closed under
-    relabeling, so every copy's drawing is among them), one orbit per
-    class: 4,524 masks in 15 classes for K_6, 768 in 19 for K_{3,3}."""
+def _orbit_classes(target: str, k6_masks) -> dict[int, int]:
+    """Each mask m & bits of the target's row, over the K_6 masks m, mapped
+    to its class: its orbit under the target's automorphisms, numbered in
+    order of first appearance."""
     bits = TARGETS[target].bits
     classes: dict[int, int] = {}
     count = 0
-    for mask in _k6_masks():
+    for mask in k6_masks:
         mask &= bits
         if mask not in classes:
             # uncached: classes keeps the orbit, and nothing asks for the
@@ -333,6 +326,40 @@ def proven_classes(target: str) -> dict[int, int]:
             classes.update(dict.fromkeys(orbit, count))
             count += 1
     return classes
+
+
+@cache
+def _k6_proof() -> tuple[dict[int, int], dict[int, int]]:
+    """The K_6 half of the proof, from one crossing_mask per chirotope of
+    chirotopes_of_six with chi(0, 1, 2) = +1 (its negation, code ^
+    _FULL_CODE, crosses alike: a crossing test compares products of two
+    signs): every mask a K_6 drawing can have mapped to its class, and
+    every chirotope code, negations included, mapped to the class of its
+    mask.  The per-code masks are not kept."""
+    mask_of = {code: crossing_mask(code, 6) for code in chirotopes_of_six() if code & 1}
+    classes = _orbit_classes(_K6.name, mask_of.values())
+    codes: dict[int, int] = {}
+    for code, mask in mask_of.items():
+        codes[code] = codes[code ^ _FULL_CODE] = classes[mask]
+    return classes, codes
+
+
+@cache
+def proven_classes(target: str) -> dict[int, int]:
+    """Every crossing mask a drawing of the target can have, mapped to its
+    class (0, 1, ...): the masks m & bits of the K_6 masks m (closed under
+    relabeling, so every copy's drawing is among them), one orbit per
+    class: 4,524 masks in 15 classes for K_6, 768 in 19 for K_{3,3}."""
+    k6 = _k6_proof()[0]
+    return k6 if target == _K6.name else _orbit_classes(target, k6)
+
+
+def chirotope_classes() -> dict[int, int]:
+    """Every chirotope_code six points in general position can have (the
+    11,904 of chirotopes_of_six), mapped to the proven K_6 class of its
+    drawing: the table each sample is looked up in, built with the proof
+    (no crossing_mask call of its own)."""
+    return _k6_proof()[1]
 
 
 def proven_class_count(target: str) -> int:
@@ -483,7 +510,7 @@ def enumerate_atlases(
     # the K_6 classes, kept whether or not K_6 is a target: every target's
     # drawings are copies inside their drawings
     k6 = dedup.get(_K6.name) or _Dedup(_K6)
-    k6_counts: list[int] = []
+    seen = [0] * proven_class_count(_K6.name)  # samples per proven K_6 class
     # per target, per K_6 class: the target class of each of its copies
     of_k6: dict[str, list[list[int]]] = {target: [] for target in targets}
     sampling = list(targets)
@@ -491,38 +518,39 @@ def enumerate_atlases(
 
     def close(target: str) -> None:
         counts = [0] * len(dedup[target].reps)
-        for k6_count, ids in zip(k6_counts, of_k6[target]):
+        # k6.class_of holds the proven K_6 classes in the order they opened
+        for k6_count, ids in zip((seen[p] for p in k6.class_of), of_k6[target]):
             for idx in ids:
                 counts[idx] += k6_count
         classes = dedup[target].finalize(counts)
         atlases[target] = Atlas(target, classes, len(classes) == wanted[target])
         sampling.remove(target)
 
-    # packed chirotope -> K_6 class: equal chirotopes have equal masks, so
-    # the mask is built and deduped only on a miss, and only a miss opens
-    by_code: dict[int, int] = {}
+    # the proof names each sample's K_6 class, so its K_6 mask is built
+    # only when it opens that class
+    proven_of_code = chirotope_classes()
     samples = 0
     for pts in islice(_point_sets(cfg), cfg.max_samples):
         code = chirotope_code(pts)
         if code is None:
             continue
         samples += 1
-        k6_class = by_code.get(code)
-        opened = False
-        if k6_class is None:
-            mask = crossing_mask(code, 6)
-            k6_class, opened = k6.observe(mask, lambda: make_realization(_K6.graph, pts))
-            by_code[code] = k6_class
-            if opened:
-                k6_counts.append(0)
-                for target in sampling:
-                    of_k6[target].append(dedup[target].observe_copies(k6.reps[k6_class], mask))
-        k6_counts[k6_class] += 1
-        if opened:
-            for target in [t for t in sampling if len(dedup[t].reps) == wanted[t]]:
-                close(target)
-            if not sampling:
-                break
+        try:
+            proven = proven_of_code[code]
+        except KeyError:
+            raise AssertionError("a sampled k6 drawing lies in no proven class") from None
+        count = seen[proven]
+        seen[proven] = count + 1
+        if count:
+            continue
+        mask = crossing_mask(code, 6)
+        k6_class, _ = k6.observe(mask, lambda: make_realization(_K6.graph, pts))
+        for target in sampling:
+            of_k6[target].append(dedup[target].observe_copies(k6.reps[k6_class], mask))
+        for target in [t for t in sampling if len(dedup[t].reps) == wanted[t]]:
+            close(target)
+        if not sampling:
+            break
     for target in list(sampling):
         close(target)
     for target in targets:

@@ -9,9 +9,9 @@ even outside CPython.
 
 Every crossing decision comes from one table, the chirotope: the signs
 of all index triples of a point set (``orientation_signs``), packed into
-one int with a bit per triple (``chirotope_code``; for six points
-straight-line code over the ten cross products of the differences from
-the first point).  Disjoint segments ab and cd cross iff c, d lie on
+one int with a bit per triple (``chirotope_code``; for six and for four
+points straight-line code over the ten or three cross products of the
+differences from the first point).  Disjoint segments ab and cd cross iff c, d lie on
 opposite sides of ab and a, b lie on opposite sides of cd: each side
 test is the XOR of two chirotope bits, so the whole crossing mask is the
 AND of two affine GF(2) maps of the code, which ``crossing_mask``
@@ -116,8 +116,21 @@ def chirotope_code(pts) -> int | None:
     orientation determinant of triple (0, j, k) is c_jk and that of
     triple (i, j, k), i >= 1, is exactly c_ij + c_jk - c_ik: 20
     multiplications in all.  Each product is formed where a triple first
-    needs it.
+    needs it.  Four points, a segment pair of proper_cross, take the same
+    route: three cross products and one sum.
     """
+    if len(pts) == 4:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+        u1, v1 = x1 - x0, y1 - y0
+        u2, v2 = x2 - x0, y2 - y0
+        u3, v3 = x3 - x0, y3 - y0
+        c12 = u1 * v2 - v1 * u2
+        c13 = u1 * v3 - v1 * u3
+        c23 = u2 * v3 - v2 * u3
+        d = c12 + c23 - c13
+        if not (c12 and c13 and c23 and d):
+            return None
+        return (c12 > 0) | (c13 > 0) << 1 | (c23 > 0) << 2 | (d > 0) << 3
     if len(pts) != 6:
         signs = orientation_signs(pts)
         if 0 in signs:
@@ -296,8 +309,8 @@ def chirotopes_of_six() -> list[int]:
     _chirotope_constraints whose last triple it sets.  chi(0, 1, 2) = +1 is
     fixed: the 5,952 codes with bit 0 set come first, then their negations,
     which pass the same tests.  Built anew on each call (about 0.02 s, once
-    the tests are derived); the program keeps only their distinct K_6
-    masks and the classes it proves.
+    the tests are derived); the program keeps the classes it proves and
+    each code's proven K_6 class (atlas.chirotope_classes), not the list.
     """
     codes = [1]
     for bit, tests in _chirotope_constraints()[1:]:

@@ -12,11 +12,15 @@ Each invariant depends only on the graph and its crossing pairs, so the
 signature has a core, ``crossing_signature``, that takes exactly those;
 ``signature`` applies it to a realization.  Isomorphic drawings have
 equal signatures, which is why the atlas computes one per class orbit.
+For the same reason the uncrossed subgraph and the edge crossing graph
+of a drawing, which the order's necessary conditions read per pair of
+classes, are built once per graph and crossing set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graph_core import (
     AbstractGraph,
@@ -72,9 +76,16 @@ def _per_edge_counts(graph: AbstractGraph, pairs) -> dict[Edge, int]:
     return counts
 
 
+@cache
+def _class_graph(build, graph: AbstractGraph, pairs: frozenset) -> AbstractGraph:
+    """build(graph, pairs), once per graph and crossing set (cached, like
+    atlas.orbit_signature)."""
+    return build(graph, pairs)
+
+
 def uncrossed_subgraph(r: GeometricRealization) -> AbstractGraph:
     """Subgraph on the same vertices keeping only crossing-free edges."""
-    return _uncrossed_subgraph(r.graph, crossing_structure(r))
+    return _class_graph(_uncrossed_subgraph, r.graph, crossing_structure(r))
 
 
 def _uncrossed_subgraph(graph: AbstractGraph, pairs) -> AbstractGraph:
@@ -89,7 +100,7 @@ def _edge_index(graph: AbstractGraph) -> dict[Edge, int]:
 
 def edge_crossing_graph(r: GeometricRealization) -> AbstractGraph:
     """Graph on the edges of r, adjacent exactly when they cross."""
-    return _edge_crossing_graph(r.graph, crossing_structure(r))
+    return _class_graph(_edge_crossing_graph, r.graph, crossing_structure(r))
 
 
 def _edge_crossing_graph(graph: AbstractGraph, pairs) -> AbstractGraph:

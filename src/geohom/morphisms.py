@@ -12,7 +12,9 @@ independent oracle.  It tests every injective map's edges once per graph
 pair (every atlas drawing shares one graph, so once per process), builds
 each surviving map's image of a source's crossing pairs once per source,
 and compares that image with each target's crossing pairs as one AND of
-two masks.
+two masks.  Both searches list a witness as its tuple of vertex images
+(``witness_images``, ``brute_force_witness_images``); the VertexMap
+forms wrap those tuples.
 
 The three necessary conditions for a vertex-injective homomorphism
 (uncrossed pullback, injective embedding of crossing graphs, and a
@@ -85,20 +87,24 @@ def is_geo_homomorphism(
     return True
 
 
+def witness_images(
+    src: GeometricRealization, dst: GeometricRealization
+) -> list[tuple[int, ...]]:
+    """The vertex images of every vertex-injective geometric homomorphism
+    src -> dst, sorted: the automorphisms that carry src's crossing mask
+    into dst's.  Both drawings must be on one fixed layout."""
+    target = shared_layout(src, dst)
+    images = mask_images(target, crossing_mask_of(src))
+    missing = ~crossing_mask_of(dst)
+    return [p for p, image in zip(automorphisms(target), images) if not image & missing]
+
+
 def injective_geo_homomorphisms(
     src: GeometricRealization, dst: GeometricRealization
 ) -> list[VertexMap]:
     """Every vertex-injective geometric homomorphism src -> dst, sorted by
-    images: the automorphisms that carry src's crossing mask into dst's.
-    Both drawings must be on one fixed layout."""
-    target = shared_layout(src, dst)
-    images = mask_images(target, crossing_mask_of(src))
-    missing = ~crossing_mask_of(dst)
-    return [
-        VertexMap(6, 6, p)
-        for p, image in zip(automorphisms(target), images)
-        if not image & missing
-    ]
+    images (see witness_images)."""
+    return [VertexMap(src.graph.n, dst.graph.n, p) for p in witness_images(src, dst)]
 
 
 @cache
@@ -156,34 +162,42 @@ def _crossing_images(
     return out
 
 
-def brute_force_witness_lists(
+def brute_force_witness_images(
     sources: list[GeometricRealization], targets: list[GeometricRealization]
 ):
-    """Oracle path on many pairs: yields
-    brute_force_injective_geo_homomorphisms(src, dst) for each source in
-    order and, within a source, for each target in order.
+    """Oracle path on many pairs: yields the sorted vertex images of every
+    injective map from src to dst that the definition accepts, for each
+    source in order and, within a source, for each target in order.
 
     Every injective map is tested against the definition: the edge test
     once per graph pair (in ``_edge_preserving_maps``), then each map's
     image of the source's crossing pairs, built once per source and
     target graph, against each target's crossing pairs.  No use of the
-    symmetry tables; kept independent of injective_geo_homomorphisms so
-    the two can be compared.
+    symmetry tables; kept independent of witness_images so the two can be
+    compared.
     """
     crossed = []
     for dst in targets:
         bit = _pair_bits(dst.graph)
-        crossed.append((dst.graph, sum(1 << bit[p] for p in crossing_structure(dst))))
+        missing = ~sum(1 << bit[p] for p in crossing_structure(dst))
+        crossed.append((dst.graph, missing))
     for src in sources:
         images: dict[AbstractGraph, list] = {}
-        for graph, x_dst in crossed:
+        for graph, missing in crossed:
             if graph not in images:
                 images[graph] = _crossing_images(src, graph)
-            yield [
-                VertexMap(src.graph.n, graph.n, perm)
-                for perm, image in images[graph]
-                if not image & ~x_dst
-            ]
+            yield [perm for perm, image in images[graph] if not image & missing]
+
+
+def brute_force_witness_lists(
+    sources: list[GeometricRealization], targets: list[GeometricRealization]
+):
+    """brute_force_witness_images with each witness as a VertexMap: yields
+    brute_force_injective_geo_homomorphisms(src, dst) per pair, in the
+    same order."""
+    pairs = ((src, dst) for src in sources for dst in targets)
+    for (src, dst), found in zip(pairs, brute_force_witness_images(sources, targets)):
+        yield [VertexMap(src.graph.n, dst.graph.n, perm) for perm in found]
 
 
 def brute_force_injective_geo_homomorphisms(
@@ -257,7 +271,7 @@ def hom_query(
     exist, else every failed necessary condition.  cond3 is always among
     them, since it fails exactly when no map exists (see prop_conditions);
     cond1 and cond2 name the structural reason when they fail too."""
-    witnesses = [list(f.images) for f in injective_geo_homomorphisms(src, dst)]
+    witnesses = [list(p) for p in witness_images(src, dst)]
     payload = {
         "src": src_name,
         "dst": dst_name,

@@ -3,8 +3,11 @@
 Builds fresh atlases for two seeds (one enumeration pass per seed for
 both targets), pins class labels by matching the level-1-to-2 cover
 pattern (anchored labels fixed), and runs one check per acceptance
-criterion.  Everything is recomputed from scratch; a supplied atlas or
-poset file is validated against the rebuilt result rather than trusted.
+criterion.  The atlases, labels and order are rebuilt on every run; what
+depends on no run (the proof's classes and chirotope table, the symmetry
+tables, each class orbit's signature and each class's graphs) is built
+once per process and read by every run.  A supplied atlas or poset file
+is validated against the rebuilt result rather than trusted.
 
 Two reference statements are knowingly irreproducible and are reported
 with explicit notes rather than silently repaired:
@@ -34,6 +37,7 @@ from .atlas import (
     EnumerationConfig,
     anchor_pair,
     assign_paper_labels,
+    chirotope_classes,
     class_invariant,
     copies,
     crossing_histogram,
@@ -56,9 +60,9 @@ from .exact_geometry import (
 from .graph_core import ParseError
 from .morphisms import (
     brute_force_injective_geo_homomorphisms,
-    brute_force_witness_lists,
-    injective_geo_homomorphisms,
+    brute_force_witness_images,
     prop_conditions,
+    witness_images,
 )
 from .poset import (
     HomPoset,
@@ -392,31 +396,30 @@ def check_parity_property(
     """Every K_{3,3} drawing has an odd crossing count.  A point set's ten
     K_{3,3} drawings are read off its K_6 crossing mask: a bipartition's
     drawing crosses in exactly the K_6 pairs whose two edges both join the
-    parts.  So the test runs once per distinct mask: first on every mask
-    of the proven K_6 classes, that is on every drawing of K_{3,3} there
-    is, then on each sampled mask that is not among them, named by its
-    points.  The point sets come from the atlas's seeded generator, and
-    each is counted; a mask is a function of the point set's chirotope,
-    so it is computed once per distinct chirotope."""
+    parts.  So the test runs first on every mask of the proven K_6
+    classes, that is on every drawing of K_{3,3} there is, once per mask.
+    Then on the sampled point sets, from the atlas's seeded generator and
+    each counted: a point set whose chirotope is in the proof's table
+    (``chirotope_classes``) has a proven mask, tested already; any other
+    has its mask computed and tested, and a failure is named by its
+    points."""
     _require_positive(sample_count, "parity sample count")
     masks = proven_classes("k6")
     for mask in masks:
         even = _even_bipartition(mask)
         if even is not None:
             return _even_parity(mask, even, f"in the proven K_6 mask {mask:#x}")
+    proven_codes = chirotope_classes()
     checked = 0
-    seen = set()
     for pts in random_point_sets(seed, 1000):
         code = chirotope_code(pts)
         if code is None:
             continue
-        if code not in seen:
-            seen.add(code)
+        if code not in proven_codes:
             mask = crossing_mask(code, 6)
-            if mask not in masks:
-                even = _even_bipartition(mask)
-                if even is not None:
-                    return _even_parity(mask, even, f"at points {pts}")
+            even = _even_bipartition(mask)
+            if even is not None:
+                return _even_parity(mask, even, f"at points {pts}")
         checked += 1
         if checked == sample_count:
             break
@@ -611,18 +614,21 @@ def _list_of(value, length: int) -> bool:
     return isinstance(value, list) and len(value) == length
 
 
+_POSET_FIELDS = ("labels", "leq", "hasse_edges", "rank", "cr", "thickness")
+
+
 def _validate_poset_file(path, art: VerificationArtifacts) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        labels, leq, hasse, rank, cr, thickness = (
-            payload[key]
-            for key in ("labels", "leq", "hasse_edges", "rank", "cr", "thickness")
-        )
-    except (
-        OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError
-    ) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         return [f"unreadable poset file: {exc}"]
+    if not isinstance(payload, dict):
+        return ["supplied poset: not a JSON object"]
+    missing = [key for key in _POSET_FIELDS if key not in payload]
+    if missing:
+        return [f"supplied poset: missing fields {missing}"]
+    labels, leq, hasse, rank, cr, thickness = (payload[key] for key in _POSET_FIELDS)
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         return ["supplied poset: labels is not a list of strings"]
     n = len(labels)
@@ -718,8 +724,9 @@ def check_oracle_equivalence(
     """The fast paths against their independent oracles.  Every class
     representative's crossing structure against the rational predicate;
     the witness table and the order against the brute force on every
-    pair of pinned classes, which builds each source's crossing images
-    once for all 19 targets (``brute_force_witness_lists``); and proper_cross
+    pair of pinned classes, as lists of vertex-image tuples, the brute
+    force building each source's crossing images once for all 19 targets
+    (``brute_force_witness_images``); and proper_cross
     against the rational predicate on the first valid segment quadruples
     of the seeded point generator at coordinate bound 60, the quadruples
     that randrange(-60, 61) draws."""
@@ -737,11 +744,11 @@ def check_oracle_equivalence(
                 )
     poset = art.poset
     reps = [cls.representative for cls in poset.classes]
-    brute_lists = brute_force_witness_lists(reps, reps)
+    brute_lists = brute_force_witness_images(reps, reps)
     for i, src in enumerate(reps):
         for j, dst in enumerate(reps):
             brute = next(brute_lists)
-            if injective_geo_homomorphisms(src, dst) != brute:
+            if witness_images(src, dst) != brute:
                 return CheckResult(
                     "oracle-equivalence",
                     False,

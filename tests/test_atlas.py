@@ -27,6 +27,7 @@ from geohom.atlas import (
     atlas_from_json,
     atlas_to_json,
     automorphisms,
+    chirotope_classes,
     copies,
     crossing_histogram,
     crossing_mask_of,
@@ -258,7 +259,7 @@ def test_default_representatives_pinned(atlases_a, atlases_b):
             assert _countless_sha256(atlas_to_json(atlas)) == digests[seed, target]
 
 
-def test_crossing_mask_built_once_per_chirotope(monkeypatch):
+def test_crossing_mask_built_once_per_opened_k6_class(monkeypatch):
     drawn, masks = [], []
 
     def recording(cfg):
@@ -270,16 +271,20 @@ def test_crossing_mask_built_once_per_chirotope(monkeypatch):
         masks.append(code)
         return crossing_mask(code, n)
 
-    # the proof's own crossing masks are built before counting starts
+    # the proof's own crossing masks are built before counting starts; a
+    # sample's K_6 class is read off the proof, so only the sample that
+    # opens a K_6 class builds its mask
     proven_classes("k33")
     monkeypatch.setattr("geohom.atlas._point_sets", recording)
     monkeypatch.setattr("geohom.atlas.crossing_mask", counted)
     both = enumerate_atlases(EnumerationConfig(seed=0))
-    codes = [chirotope_code(pts) for pts in drawn]
-    distinct = {code for code in codes if code is not None}
-    assert _samples(both["k6"]) == len(codes) - codes.count(None) == 763
-    assert len(masks) == len(set(masks)) == len(distinct) < 763
-    assert set(masks) == distinct
+    codes = [code for code in map(chirotope_code, drawn) if code is not None]
+    assert _samples(both["k6"]) == len(codes) == 763
+    opening = {}
+    for code in codes:
+        opening.setdefault(proven_classes("k6")[crossing_mask(code, 6)], code)
+    assert masks == list(opening.values())
+    assert len(masks) == proven_class_count("k6") == 15
 
 
 def test_one_pass_budget_cuts_only_the_later_target():
@@ -554,14 +559,19 @@ def test_exhaustive_chirotopes_and_classes():
         )
 
 
+def test_chirotope_classes_are_the_proven_k6_classes():
+    # every chirotope of six points, negations included, and nothing else
+    table = chirotope_classes()
+    codes = chirotopes_of_six()
+    assert len(table) == len(codes) == 11_904
+    assert table == {code: proven_classes("k6")[crossing_mask(code, 6)] for code in codes}
+
+
 def test_sampled_class_outside_the_proof_is_an_error(monkeypatch):
-    # with one K_6 class missing from the proof, sampling meets a drawing
-    # the proof says cannot exist
-    proven = {mask: cls for mask, cls in proven_classes("k6").items() if cls != 3}
-    monkeypatch.setattr(
-        "geohom.atlas.proven_classes",
-        lambda target: proven if target == "k6" else proven_classes(target),
-    )
+    # with one K_6 class missing from the proof's chirotope table, sampling
+    # meets a drawing the proof says cannot exist
+    table = {code: cls for code, cls in chirotope_classes().items() if cls != 3}
+    monkeypatch.setattr("geohom.atlas.chirotope_classes", lambda: table)
     with pytest.raises(AssertionError, match="a sampled k6 drawing lies in no proven class"):
         enumerate_classes("k6", quick_cfg())
 
@@ -671,11 +681,12 @@ def test_import_builds_no_symmetry_table():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import geohom, geohom.cli\n"
-        "from geohom.atlas import automorphisms, copies, orbit_keys,"
+        "from geohom.atlas import _k6_proof, automorphisms, copies, orbit_keys,"
         " orbit_signature, proven_classes, symmetry_table\n"
         "from geohom.exact_geometry import _crossing_tables\n"
+        "from geohom.invariants import _class_graph\n"
         "caches = (automorphisms, copies, symmetry_table, proven_classes, orbit_keys,"
-        " orbit_signature, _crossing_tables)\n"
+        " orbit_signature, _crossing_tables, _k6_proof, _class_graph)\n"
         "print(sum(f.cache_info().currsize for f in caches))"
     )
     out = subprocess.run(

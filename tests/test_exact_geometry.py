@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -162,6 +162,27 @@ def test_six_point_kernel_at_the_coordinate_limit():
         code = chirotope_code(rotated)
         assert code is not None
         assert code == _packed_signs(rotated)
+
+
+def test_four_point_kernel_on_every_subset_of_the_3_grid():
+    # every order of each of the 1,820 four-subsets; None exactly where a
+    # sign is zero, on the 542 subsets with a collinear triple
+    subsets = list(combinations(_grid(3), 4))
+    assert len(subsets) == 1_820
+    for subset in subsets:
+        for pts in permutations(subset):
+            assert chirotope_code(pts) == _packed_signs(pts)
+    assert sum(_packed_signs(pts) is None for pts in subsets) == 542
+
+
+def test_four_point_kernel_at_the_coordinate_limit():
+    # every ordered four of the corners of the [-2**20, 2**20] square and
+    # two points near two of them
+    m = COORDINATE_LIMIT
+    pts = [(m, -m), (-m, m), (-m, -m), (m, m), (m - 1, m - 3), (-m + 2, -m + 1)]
+    fours = list(permutations(pts, 4))
+    assert [chirotope_code(four) for four in fours] == list(map(_packed_signs, fours))
+    assert None not in map(chirotope_code, fours)
 
 
 def test_crossing_mask_matches_the_sign_loop_on_every_chirotope():

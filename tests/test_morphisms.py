@@ -179,7 +179,7 @@ def test_brute_force_reads_no_symmetry_table(cr1, cr3, monkeypatch):
     try:
         maps = brute_force_injective_geo_homomorphisms(cr1, cr3)
         assert len(_edge_preserving_maps(cr1.graph, cr3.graph)) == 72
-        # the many-pair path that verify's oracle check runs
+        # the many-pair path, whose image tuples verify's oracle check reads
         lists = list(brute_force_witness_lists([cr1, cr3], [cr1, cr3]))
     finally:
         _edge_preserving_maps.cache_clear()

@@ -20,6 +20,7 @@ ALLOWED = {
     "graph_core.graph_isomorphism": "the reference canonical_label is tested against",
     "graph_core.two_colored_isomorphism": "the reference canonical_two_colored_label is tested against",
     "morphisms.is_geo_homomorphism": "the definition the brute-force oracle is tested against",
+    "morphisms.injective_geo_homomorphisms": "package API: witness_images as VertexMaps",
     "realization.realization_from_json": "reads the documented realization text format",
 }
 

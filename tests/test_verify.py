@@ -5,12 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from geohom import atlas, morphisms
+from geohom import atlas, invariants, morphisms
 from geohom import reference_data as ref
 from geohom.atlas import ConfigError, assign_paper_labels, mask_images, orbit_signature, save_atlas
 from geohom.exact_geometry import chirotope_code, crossing_mask, segments_cross_rational
 from geohom.invariants import crossing_signature
-from geohom.morphisms import VertexMap, injective_geo_homomorphisms, prop_conditions
+from geohom.morphisms import VertexMap, prop_conditions, witness_images
 from geohom.poset import build_poset, poset_to_json, transitive_reduction
 from geohom.verify import (
     VerificationArtifacts,
@@ -114,32 +114,37 @@ def test_poset_file_validation(tmp_path, hom_poset):
 
     # malformed shapes are reported as one problem each, not raised
     good = json.loads(path.read_text())
-    for field, value, problem in (
-        ("leq", good["leq"][:-1] + [good["leq"][-1][:-1]], "leq is not 19x19"),
+    for payload, problem in (
+        ({**good, "leq": good["leq"][:-1] + [good["leq"][-1][:-1]]}, "leq is not 19x19"),
         (
-            "hasse_edges",
-            good["hasse_edges"] + [[0]],
+            {**good, "hasse_edges": good["hasse_edges"] + [[0]]},
             "a Hasse edge is not a pair of indices below 19",
         ),
-        ("labels", 5, "labels is not a list of strings"),
+        ({**good, "labels": 5}, "labels is not a list of strings"),
         (
-            "leq",
-            [[2 * v for v in row] for row in good["leq"]],
+            {**good, "leq": [[2 * v for v in row] for row in good["leq"]]},
             "leq holds an entry other than 0 and 1",
         ),
         (
-            "hasse_edges",
-            [[True if i == 1 else i for i in e] for e in good["hasse_edges"]],
+            {
+                **good,
+                "hasse_edges": [[True if i == 1 else i for i in e] for e in good["hasse_edges"]],
+            },
             "a Hasse edge is not a pair of indices below 19",
         ),
-        ("cr", good["cr"][1:], "cr does not have 19 entries"),
+        ({**good, "cr": good["cr"][1:]}, "cr does not have 19 entries"),
         (
-            "hasse_edges",
-            good["hasse_edges"] + good["hasse_edges"][:1],
+            {**good, "hasse_edges": good["hasse_edges"] + good["hasse_edges"][:1]},
             "a Hasse edge is repeated",
         ),
+        (
+            {},
+            "missing fields ['labels', 'leq', 'hasse_edges', 'rank', 'cr', 'thickness']",
+        ),
+        ({k: v for k, v in good.items() if k != "rank"}, "missing fields ['rank']"),
+        ([good], "not a JSON object"),
     ):
-        bad_path.write_text(json.dumps({**good, field: value}))
+        bad_path.write_text(json.dumps(payload))
         result = check_poset_structure(art, bad_path)
         assert not result.passed
         assert result.detail == f"supplied poset: {problem}"
@@ -251,8 +256,10 @@ def test_parity_property_covers_every_proven_mask(monkeypatch):
 
 
 def test_parity_property_names_the_sampled_bipartition(monkeypatch):
-    # the sampled half: a point set drawn as uncrossed fails at the first
-    # bipartition, and the failure names it
+    # the sampled half: with no chirotope in the proof's table, a point set
+    # drawn as uncrossed fails at the first bipartition, and the failure
+    # names it
+    monkeypatch.setattr("geohom.verify.chirotope_classes", lambda: {})
     monkeypatch.setattr("geohom.verify.crossing_mask", lambda code, n: 0)
     result = check_parity_property(1)
     assert not result.passed
@@ -276,6 +283,33 @@ def test_verify_computes_one_signature_per_class_orbit(monkeypatch):
     assert len(calls) == ref.K33_CLASS_COUNT + ref.K6_CLASS_COUNT
 
 
+def test_verify_builds_each_class_graph_once(monkeypatch):
+    # a class's uncrossed subgraph and crossing graph depend only on its
+    # graph and crossing pairs: a default verify builds each of them once,
+    # though the necessary conditions read them on 137 related pairs and 29
+    # facts, and labeling reads the crossing graphs of anchored classes
+    for target in atlas.TARGETS:  # signatures build these graphs too
+        for key in atlas.orbit_keys(target):
+            orbit_signature(target, key)
+    built = []
+
+    def counted(build):
+        def wrapper(graph, pairs):
+            built.append((build.__name__, graph, pairs))
+            return build(graph, pairs)
+
+        return wrapper
+
+    invariants._class_graph.cache_clear()
+    for name in ("_uncrossed_subgraph", "_edge_crossing_graph"):
+        monkeypatch.setattr(invariants, name, counted(getattr(invariants, name)))
+    results, art = run_verification()
+    assert all(r.passed for r in results), [r.line() for r in results]
+    assert len(built) == len(set(built)) == 2 * ref.K33_CLASS_COUNT
+    drawings = {(c.representative.graph, c.representative.crossings) for c in art.pinned.classes}
+    assert {(graph, pairs) for _, graph, pairs in built} == drawings
+
+
 # sha256 of the ten lines a default `geohom verify` prints (seeds 7 and
 # 101), newline-terminated: `python -m geohom verify | sha256sum`
 DEFAULT_VERIFY_DIGEST = "f0ca690cc872d7017b792230438e8d8cf6b4e00d3bb21f8c34ac7b2ed6fc3e77"
@@ -288,16 +322,9 @@ def test_default_verify_lines_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_VERIFY_DIGEST, text
 
 
-def test_parity_property_masks_each_distinct_chirotope_once(monkeypatch):
-    # every sample is still drawn and counted, but a repeated chirotope's
-    # mask is neither recomputed nor retested
-    codes = []
-    for pts in atlas.random_point_sets(20_250_810, 1000):
-        code = chirotope_code(pts)
-        if code is not None:
-            codes.append(code)
-            if len(codes) == 10_000:
-                break
+def test_parity_property_masks_no_proven_chirotope(monkeypatch):
+    # every sample is still drawn and counted, but each one's chirotope is
+    # in the proof's table, so no sampled mask is computed
     calls = []
 
     def counted(code, n):
@@ -308,17 +335,23 @@ def test_parity_property_masks_each_distinct_chirotope_once(monkeypatch):
     result = check_parity_property(10_000)
     assert result.passed, result.detail
     assert result.detail.startswith("10000 point sets x 10 bipartitions")
-    assert len(calls) == len(set(codes)) < 10_000
+    assert calls == []
 
 
-def _sampled_codes(count):
-    codes = []
+def _samples(count):
+    """The parity check's first count point sets in general position, with
+    their chirotope codes."""
+    out = []
     for pts in atlas.random_point_sets(20_250_810, 1000):
         code = chirotope_code(pts)
         if code is not None:
-            codes.append(code)
-            if len(codes) == count:
-                return codes
+            out.append((pts, code))
+            if len(out) == count:
+                return out
+
+
+def _sampled_codes(count):
+    return [code for _, code in _samples(count)]
 
 
 def test_parity_property_tests_each_mask_once(monkeypatch):
@@ -340,27 +373,34 @@ def test_parity_property_tests_each_mask_once(monkeypatch):
 
 
 def test_parity_property_tests_sampled_masks_outside_the_proof(monkeypatch):
-    # with no proven masks, each distinct sampled chirotope's mask is tested
-    codes = list(dict.fromkeys(_sampled_codes(1000)))
+    # with no chirotope in the proof's table, every sampled point set's
+    # mask is tested, after the proven masks
+    samples = _samples(1000)
     calls = []
 
     def counted(mask):
         calls.append(mask)
         return _even_bipartition(mask)
 
-    monkeypatch.setattr("geohom.verify.proven_classes", lambda target: {})
+    monkeypatch.setattr("geohom.verify.chirotope_classes", lambda: {})
     monkeypatch.setattr("geohom.verify._even_bipartition", counted)
     result = check_parity_property(1000)
     assert result.passed, result.detail
-    assert result.detail.startswith("1000 point sets x 10 bipartitions, and all 0 proven")
-    assert calls == [crossing_mask(code, 6) for code in codes]
-    # and a failing sampled mask outside the proof is named by its points
-    stub = {crossing_mask(code, 6): 0 for code in codes}
-    monkeypatch.setattr("geohom.verify.proven_classes", lambda target: stub)
+    assert result.detail.startswith("1000 point sets x 10 bipartitions, and all 4524 proven")
+    proven = list(atlas.proven_classes("k6"))
+    assert calls == proven + [crossing_mask(code, 6) for _, code in samples]
+    # and only a chirotope outside the table is tested: a point set drawn as
+    # uncrossed fails at the first such one, named by its points
+    codes = [code for _, code in samples]
+    k = next(k for k in range(10, 1000) if codes[k] not in codes[:k])
+    table = dict.fromkeys(codes[:k], 0)
+    monkeypatch.setattr("geohom.verify.chirotope_classes", lambda: table)
     monkeypatch.setattr("geohom.verify.crossing_mask", lambda code, n: 0)
     result = check_parity_property(1000)
     assert not result.passed
-    assert result.detail.startswith("even crossing count 0 at points [(")
+    assert result.detail == (
+        f"even crossing count 0 at points {samples[k][0]} parts [[0, 1, 2], [3, 4, 5]]"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -424,8 +464,8 @@ def test_oracle_equivalence_fails_on_a_dropped_witness(
     session_artifacts, monkeypatch
 ):
     monkeypatch.setattr(
-        "geohom.verify.injective_geo_homomorphisms",
-        lambda src, dst: injective_geo_homomorphisms(src, dst)[1:],
+        "geohom.verify.witness_images",
+        lambda src, dst: witness_images(src, dst)[1:],
     )
     result = check_oracle_equivalence(session_artifacts, quadruples=10)
     assert not result.passed
@@ -460,6 +500,26 @@ def test_oracle_equivalence_builds_each_sources_images_once(session_artifacts):
     assert result.passed, result.detail
     info = mask_images.cache_info()
     assert (info.misses, info.hits) == (19, 19 * 19 - 19)
+
+
+def test_oracle_equivalence_builds_no_vertex_map(session_artifacts, monkeypatch):
+    # both witness searches are compared as lists of image tuples
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return VertexMap(*args)
+
+    monkeypatch.setattr("geohom.morphisms.VertexMap", counted)
+    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    assert result.passed, result.detail
+    assert built == []
+    # the VertexMap forms still wrap the same tuples
+    reps = [c.representative for c in session_artifacts.poset.classes[:3]]
+    assert [f.images for f in morphisms.injective_geo_homomorphisms(reps[0], reps[2])] == (
+        witness_images(reps[0], reps[2])
+    )
+    assert len(built) == len(witness_images(reps[0], reps[2])) > 0
 
 
 def test_oracle_brute_force_builds_each_sources_images_once(
@@ -571,14 +631,14 @@ def test_non_precedence_facts_run_no_witness_search(session_artifacts, monkeypat
     # the order already says each fact's pair is unrelated; the check reads
     # it and the necessary conditions, and searches for no map again
     calls = []
-    search = morphisms.injective_geo_homomorphisms
+    search = morphisms.witness_images
 
     def counted(src, dst):
         calls.append((src, dst))
         return search(src, dst)
 
-    monkeypatch.setattr(morphisms, "injective_geo_homomorphisms", counted)
-    monkeypatch.setattr("geohom.verify.injective_geo_homomorphisms", counted)
+    monkeypatch.setattr(morphisms, "witness_images", counted)
+    monkeypatch.setattr("geohom.verify.witness_images", counted)
     assert check_non_precedence_facts(session_artifacts).passed
     assert calls == []
 
