@@ -1,10 +1,13 @@
 """Command-line interface: enumerate, verify, hom, poset, export.
 
-All randomness flows from the --seed flags, so identical invocations
-produce byte-identical output files.  Exit codes: 0 success, 1 failure
-(or an unreadable, invalid or unwritable file), 2 incomplete enumeration
-(some proven class never sampled) or usage error (including an
-out-of-range flag value).  Run as ``geohom`` or ``python -m geohom``.
+All randomness flows from the --seed flags of ``enumerate`` and
+``verify``; ``hom``, ``poset`` and ``export`` read a saved atlas
+(--atlas) or else sample one with the default EnumerationConfig, so
+identical invocations produce byte-identical output.  Exit codes: 0
+success, 1 failure (or an unreadable, invalid or unwritable file), 2
+incomplete enumeration (some proven class never sampled) or usage error
+(an unknown flag, an out-of-range ``enumerate`` flag value, or equal
+``verify`` seeds).  Run as ``geohom`` or ``python -m geohom``.
 """
 
 from __future__ import annotations
@@ -39,47 +42,26 @@ from .poset import hasse_to_dot, poset_to_json
 from .verify import load_k33_atlas, pin_reference_labels, run_verification
 
 
-def _add_enumeration_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument(
-        "--mode", choices=("random", "grid"), default="random",
-        help="seeded random points or an exhaustive coordinate grid",
-    )
-    parser.add_argument(
-        "--bound", type=int, default=1000,
-        help="coordinate bound (grid mode sweeps [0, bound]^2)",
-    )
-    parser.add_argument(
-        "--max-samples", type=int, default=500_000,
-        help="hard budget of draws, degenerate ones included",
-    )
-
-
-def _config_from(args) -> EnumerationConfig:
-    return EnumerationConfig(
-        coordinate_bound=args.bound,
-        mode=args.mode,
-        seed=args.seed,
-        max_samples=args.max_samples,
-    )
-
-
 def _histogram_text(atlas: Atlas) -> str:
     hist = crossing_histogram(atlas)
     return " ".join(f"{k}:{v}" for k, v in hist.items())
 
 
 def _pinned(args):
-    """Load or build a complete k33 atlas and pin its labels: the pinned
-    atlas, its order and the cover mismatches.  The enumeration flags are
-    validated even when --atlas makes them unused."""
-    cfg = _config_from(args)
-    atlas = load_k33_atlas(args.atlas) if args.atlas else enumerate_classes("k33", cfg)
+    """Load a complete k33 atlas, or sample one with the default
+    EnumerationConfig, and pin its labels: the pinned atlas, its order and
+    the cover mismatches."""
+    atlas = load_k33_atlas(args.atlas) if args.atlas else enumerate_classes("k33")
     return pin_reference_labels(atlas)
 
 
 def cmd_enumerate(args) -> int:
-    cfg = _config_from(args)
+    cfg = EnumerationConfig(
+        coordinate_bound=args.bound,
+        mode=args.mode,
+        seed=args.seed,
+        max_samples=args.max_samples,
+    )
     # before sampling; with a trailing slash, stat fails unless the parent is a directory
     try:
         if not args.out:
@@ -123,14 +105,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     results, _ = run_verification(
-        args.seed,
-        args.seed2,
-        max_samples=args.max_samples,
-        bound=args.bound,
-        atlas_path=args.atlas,
-        poset_path=args.poset,
-        parity_sets=args.parity_sets,
-        oracle_quadruples=args.quadruples,
+        args.seed, args.seed2, atlas_path=args.atlas, poset_path=args.poset
     )
     for result in results:
         print(result.line())
@@ -213,8 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="discover realization classes")
+    defaults = EnumerationConfig()
     p_enum.add_argument("--graph", choices=tuple(TARGETS), default="k33")
-    _add_enumeration_flags(p_enum)
+    p_enum.add_argument("--seed", type=int, default=defaults.seed, help="sampling seed")
+    p_enum.add_argument(
+        "--mode", choices=("random", "grid"), default=defaults.mode,
+        help="seeded random points or an exhaustive coordinate grid",
+    )
+    p_enum.add_argument(
+        "--bound", type=int, default=defaults.coordinate_bound,
+        help="coordinate bound (grid mode sweeps [0, bound]^2)",
+    )
+    p_enum.add_argument(
+        "--max-samples", type=int, default=defaults.max_samples,
+        help="hard budget of draws, degenerate ones included",
+    )
     p_enum.add_argument(
         "--out", default=None, help="atlas output path (default atlas_<graph>.json)"
     )
@@ -223,16 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full verification suite")
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--seed2", type=int, default=101)
-    p_verify.add_argument("--bound", type=int, default=None)
-    p_verify.add_argument("--max-samples", type=int, default=None)
     p_verify.add_argument(
         "--atlas", default=None, help="validate this atlas file as well"
     )
     p_verify.add_argument(
         "--poset", default=None, help="validate this poset JSON as well"
     )
-    p_verify.add_argument("--parity-sets", type=int, default=10_000)
-    p_verify.add_argument("--quadruples", type=int, default=1000)
     p_verify.set_defaults(func=cmd_verify)
 
     p_hom = sub.add_parser(
@@ -241,12 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("src")
     p_hom.add_argument("dst")
     p_hom.add_argument("--atlas", default=None, help="atlas file to query")
-    _add_enumeration_flags(p_hom)
     p_hom.set_defaults(func=cmd_hom)
 
     p_poset = sub.add_parser("poset", help="build and export the order")
     p_poset.add_argument("--atlas", default=None)
-    _add_enumeration_flags(p_poset)
     p_poset.add_argument("--format", choices=("json", "dot"), default="json")
     p_poset.add_argument("--out", default=None)
     p_poset.set_defaults(func=cmd_poset)
@@ -256,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--what", choices=("atlas", "hasse", "ex", "lex"), required=True
     )
     p_export.add_argument("--atlas", default=None)
-    _add_enumeration_flags(p_export)
     p_export.add_argument("--label", default=None, help="ex/lex exports only")
     p_export.add_argument(
         "--format", choices=("json", "dot"), default=None,

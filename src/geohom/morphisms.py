@@ -189,23 +189,13 @@ def brute_force_witness_images(
             yield [perm for perm, image in images[graph] if not image & missing]
 
 
-def brute_force_witness_lists(
-    sources: list[GeometricRealization], targets: list[GeometricRealization]
-):
-    """brute_force_witness_images with each witness as a VertexMap: yields
-    brute_force_injective_geo_homomorphisms(src, dst) per pair, in the
-    same order."""
-    pairs = ((src, dst) for src in sources for dst in targets)
-    for (src, dst), found in zip(pairs, brute_force_witness_images(sources, targets)):
-        yield [VertexMap(src.graph.n, dst.graph.n, perm) for perm in found]
-
-
 def brute_force_injective_geo_homomorphisms(
     src: GeometricRealization, dst: GeometricRealization
 ) -> list[VertexMap]:
     """Oracle path: every injective vertex map tested against the
-    definition, sorted by images (see brute_force_witness_lists)."""
-    return next(brute_force_witness_lists([src], [dst]))
+    definition, sorted by images (see brute_force_witness_images)."""
+    found = next(brute_force_witness_images([src], [dst]))
+    return [VertexMap(src.graph.n, dst.graph.n, perm) for perm in found]
 
 
 # ---------------------------------------------------------------------------

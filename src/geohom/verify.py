@@ -81,6 +81,12 @@ from .realization import (
 
 DEFAULT_SEED_A = 7
 DEFAULT_SEED_B = 101
+# the parity check's sampled point sets and the oracle check's segment
+# quadruples: how many, and the seed of the generator that draws them
+PARITY_SAMPLE_COUNT = 10_000
+PARITY_SEED = 20_250_810
+ORACLE_QUADRUPLES = 1000
+ORACLE_SEED = 4242
 
 
 @dataclass
@@ -284,30 +290,17 @@ class VerificationArtifacts:
     supplied_atlas_error: str | None = None
 
 
-def _require_positive(count: int, what: str) -> None:
-    if count < 1:
-        raise ConfigError(f"{what} must be positive, got {count}")
-
-
 def build_artifacts(
     seed_a: int = DEFAULT_SEED_A,
     seed_b: int = DEFAULT_SEED_B,
     *,
-    max_samples: int | None = None,
-    bound: int | None = None,
     atlas_path=None,
 ) -> VerificationArtifacts:
     """Enumerate, label, and pin everything needed by the checks."""
     if seed_a == seed_b:
         raise ConfigError(f"the two seeds must differ, got {seed_a} twice")
-    given = {
-        "max_samples": max_samples,
-        "coordinate_bound": bound,
-    }
-    options = {key: value for key, value in given.items() if value is not None}
     pass_a, pass_b = (
-        enumerate_atlases(EnumerationConfig(seed=seed, **options))
-        for seed in (seed_a, seed_b)
+        enumerate_atlases(EnumerationConfig(seed=seed)) for seed in (seed_a, seed_b)
     )
 
     supplied_error = None
@@ -390,20 +383,17 @@ def check_crossing_histogram(art: VerificationArtifacts) -> CheckResult:
     )
 
 
-def check_parity_property(
-    sample_count: int = 10_000, seed: int = 20_250_810
-) -> CheckResult:
+def check_parity_property() -> CheckResult:
     """Every K_{3,3} drawing has an odd crossing count.  A point set's ten
     K_{3,3} drawings are read off its K_6 crossing mask: a bipartition's
     drawing crosses in exactly the K_6 pairs whose two edges both join the
     parts.  So the test runs first on every mask of the proven K_6
     classes, that is on every drawing of K_{3,3} there is, once per mask.
-    Then on the sampled point sets, from the atlas's seeded generator and
-    each counted: a point set whose chirotope is in the proof's table
-    (``chirotope_classes``) has a proven mask, tested already; any other
-    has its mask computed and tested, and a failure is named by its
-    points."""
-    _require_positive(sample_count, "parity sample count")
+    Then on PARITY_SAMPLE_COUNT point sets in general position, from the
+    atlas's seeded generator at PARITY_SEED, each counted: a point set
+    whose chirotope is in the proof's table (``chirotope_classes``) has a
+    proven mask, tested already; any other has its mask computed and
+    tested, and a failure is named by its points."""
     masks = proven_classes("k6")
     for mask in masks:
         even = _even_bipartition(mask)
@@ -411,7 +401,7 @@ def check_parity_property(
             return _even_parity(mask, even, f"in the proven K_6 mask {mask:#x}")
     proven_codes = chirotope_classes()
     checked = 0
-    for pts in random_point_sets(seed, 1000):
+    for pts in random_point_sets(PARITY_SEED, 1000):
         code = chirotope_code(pts)
         if code is None:
             continue
@@ -421,12 +411,12 @@ def check_parity_property(
             if even is not None:
                 return _even_parity(mask, even, f"at points {pts}")
         checked += 1
-        if checked == sample_count:
+        if checked == PARITY_SAMPLE_COUNT:
             break
     return CheckResult(
         "parity-property",
         True,
-        f"{sample_count} point sets x 10 bipartitions, and all {len(masks)}"
+        f"{PARITY_SAMPLE_COUNT} point sets x 10 bipartitions, and all {len(masks)}"
         " proven K_6 masks x 10 bipartitions, all odd",
     )
 
@@ -716,21 +706,16 @@ def check_thickness_claims(art: VerificationArtifacts) -> CheckResult:
     )
 
 
-def check_oracle_equivalence(
-    art: VerificationArtifacts,
-    quadruples: int = 1000,
-    seed: int = 4242,
-) -> CheckResult:
+def check_oracle_equivalence(art: VerificationArtifacts) -> CheckResult:
     """The fast paths against their independent oracles.  Every class
     representative's crossing structure against the rational predicate;
     the witness table and the order against the brute force on every
     pair of pinned classes, as lists of vertex-image tuples, the brute
     force building each source's crossing images once for all 19 targets
     (``brute_force_witness_images``); and proper_cross
-    against the rational predicate on the first valid segment quadruples
-    of the seeded point generator at coordinate bound 60, the quadruples
-    that randrange(-60, 61) draws."""
-    _require_positive(quadruples, "oracle quadruple count")
+    against the rational predicate on the first ORACLE_QUADRUPLES valid
+    segment quadruples of the seeded point generator at ORACLE_SEED and
+    coordinate bound 60, the quadruples that randrange(-60, 61) draws."""
     atlases = (art.pinned, art.atlas6_a, art.atlas6_b)
     for atlas in atlases:
         for cls in atlas.classes:
@@ -763,7 +748,7 @@ def check_oracle_equivalence(
                     f" ({poset.label(i)}, {poset.label(j)})",
                 )
     compared = 0
-    for coords in random_point_sets(seed, 60, 4):
+    for coords in random_point_sets(ORACLE_SEED, 60, 4):
         if coords[0] == coords[1] or coords[2] == coords[3]:
             continue
         s = Segment(Point(*coords[0]), Point(*coords[1]))
@@ -775,14 +760,14 @@ def check_oracle_equivalence(
                 f"predicates disagree on {coords}",
             )
         compared += 1
-        if compared == quadruples:
+        if compared == ORACLE_QUADRUPLES:
             break
     return CheckResult(
         "oracle-equivalence",
         True,
         f"witness table and order match brute force on all {poset.n}x{poset.n} pairs;"
         f" {sum(len(a.classes) for a in atlases)} class representatives"
-        f" and {quadruples} segment quadruples match the rational predicate",
+        f" and {ORACLE_QUADRUPLES} segment quadruples match the rational predicate",
     )
 
 
@@ -790,33 +775,21 @@ def run_verification(
     seed_a: int = DEFAULT_SEED_A,
     seed_b: int = DEFAULT_SEED_B,
     *,
-    max_samples: int | None = None,
-    bound: int | None = None,
     atlas_path=None,
     poset_path=None,
-    parity_sets: int = 10_000,
-    oracle_quadruples: int = 1000,
 ) -> tuple[list[CheckResult], VerificationArtifacts]:
     """Run every check; returns results in criterion order plus artifacts."""
-    _require_positive(parity_sets, "parity sample count")
-    _require_positive(oracle_quadruples, "oracle quadruple count")
-    art = build_artifacts(
-        seed_a,
-        seed_b,
-        max_samples=max_samples,
-        bound=bound,
-        atlas_path=atlas_path,
-    )
+    art = build_artifacts(seed_a, seed_b, atlas_path=atlas_path)
     results = [
         check_atlas_counts(art),
         check_crossing_histogram(art),
-        check_parity_property(parity_sets),
+        check_parity_property(),
         check_invariant_anchors(art),
         check_cover_pattern(art),
         check_non_precedence_facts(art),
         check_condition_soundness(art),
         check_poset_structure(art, poset_path),
         check_thickness_claims(art),
-        check_oracle_equivalence(art, oracle_quadruples),
+        check_oracle_equivalence(art),
     ]
     return results, art

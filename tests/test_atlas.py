@@ -108,6 +108,16 @@ def test_k6_class_count():
     assert min(hist) == 3 and max(hist) == 15
 
 
+def test_verify_seed_101_completes_within_the_quick_budget(atlases_b):
+    # verify's second seed, like its first (quick_atlas), finds every class
+    # of both targets within 100,000 draws: the same atlases as the default
+    # budget's
+    atlases = enumerate_atlases(quick_cfg(seed=101))
+    for target, count in (("k33", 19), ("k6", 15)):
+        assert atlases[target].complete and len(atlases[target].classes) == count
+        assert atlas_to_json(atlases[target]) == atlas_to_json(atlases_b[target])
+
+
 def test_determinism_same_seed(quick_atlas):
     again = enumerate_classes("k33", quick_cfg())
     assert atlas_to_json(again) == atlas_to_json(quick_atlas)

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import json
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import geohom
-from geohom.atlas import atlas_to_json, load_atlas
-from geohom.cli import main
+from geohom.atlas import load_atlas
+from geohom.cli import build_parser, main
 from geohom.graph_core import ParseError
 from geohom.morphisms import hom_query
 
@@ -123,15 +124,13 @@ def test_grid_bound_above_the_limit_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("module", ["geohom", "geohom.cli"])
 def test_python_m_reports_usage_error(module):
-    done = _python_m(module, "verify", "--parity-sets", "0")
+    done = _python_m(module, "enumerate", "--max-samples", "0")
     assert done.returncode == 2
     assert "must be positive" in done.stderr
 
 
 def test_python_m_verify_prints_ten_passes():
-    done = _python_m(
-        "geohom", "verify", "--parity-sets", "100", "--quadruples", "50"
-    )
+    done = _python_m("geohom", "verify")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 10
@@ -147,37 +146,45 @@ def test_unknown_flag_rejected():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["poset", "--bound", "1"],
-        ["hom", "3.1", "5.1", "--max-samples", "0"],
-        ["export", "--what", "hasse", "--max-samples", "0"],
+        ["enumerate", "--bound", "1"],
+        ["enumerate", "--bound", str(2**20 + 1)],
         ["enumerate", "--bound", "2000000"],
-        ["verify", "--max-samples", "0"],
-        # A: a valid k33 atlas, which leaves the enumeration flags unused
-        ["hom", "1.1", "9.1", "--atlas", "A", "--bound", "1"],
-        ["poset", "--atlas", "A", "--bound", "1"],
-        ["export", "--what", "hasse", "--atlas", "A", "--max-samples", "0"],
+        ["enumerate", "--graph", "k6", "--bound", "1"],
+        ["enumerate", "--mode", "grid", "--bound", "101"],
+        ["enumerate", "--max-samples", "0"],
+        ["enumerate", "--max-samples", "-1"],
+        ["enumerate", "--mode", "grid", "--bound", "1"],
     ],
 )
-def test_out_of_range_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys, pinned_atlas):
-    atlas = tmp_path / "atlas.json"
-    atlas.write_text(atlas_to_json(pinned_atlas))
-    work = tmp_path / "work"
-    work.mkdir()
-    monkeypatch.chdir(work)
-    assert run([str(atlas) if arg == "A" else arg for arg in argv]) == 2
+def test_out_of_range_flag_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"geohom {argv[0]}: error: ")
-    assert not list(work.iterdir())  # nothing enumerated or written
+    assert not list(tmp_path.iterdir())  # nothing enumerated or written
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["enumerate"], ["verify"], ["hom", "3.1", "5.1"], ["poset"], ["export", "--what", "hasse"]],
-    ids=lambda command: command[0],
-)
-def test_window_flag_is_unknown(command, tmp_path, monkeypatch, capsys):
-    # enumerations stop at completeness or the budget: no command takes a window
+def test_option_lists():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [a.option_strings[0] if a.option_strings else a.dest for a in sub._actions[1:]]
+        for name, sub in commands.choices.items()
+    }
+    assert options == {
+        "enumerate": ["--graph", "--seed", "--mode", "--bound", "--max-samples", "--out"],
+        "verify": ["--seed", "--seed2", "--atlas", "--poset"],
+        "hom": ["src", "dst", "--atlas"],
+        "poset": ["--atlas", "--format", "--out"],
+        "export": ["--what", "--atlas", "--label", "--format", "--out"],
+    }
+
+
+def _assert_unknown(argv, unknown, tmp_path, monkeypatch, capsys):
+    """The command exits 2 with argparse's usage line and one
+    "unrecognized arguments" line, reading no file and drawing no sample."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("file read or sample drawn")
 
@@ -185,12 +192,51 @@ def test_window_flag_is_unknown(command, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(f"geohom.{name}", refuse)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as info:
-        run([*command, "--window", "1"])
+        run([*argv, *unknown])
     assert info.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0].startswith("usage: geohom ")
-    assert err[1] == "geohom: error: unrecognized arguments: --window 1"
+    assert err[1] == f"geohom: error: unrecognized arguments: {' '.join(unknown)}"
     assert not list(tmp_path.iterdir())
+
+
+QUERIES = {"hom": ["hom", "3.1", "5.1"], "poset": ["poset"], "export": ["export", "--what", "hasse"]}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["enumerate"], ["verify"], *QUERIES.values()],
+    ids=lambda command: command[0],
+)
+def test_window_flag_is_unknown(command, tmp_path, monkeypatch, capsys):
+    # enumerations stop at completeness or the budget: no command takes a window
+    _assert_unknown(command, ["--window", "1"], tmp_path, monkeypatch, capsys)
+
+
+# enumerate's sampling flags on the query commands, and check sizes on verify
+REMOVED_FLAGS = [
+    *(
+        (query, flag, value)
+        for query in QUERIES
+        for flag, value in (
+            ("--seed", "7"), ("--mode", "grid"), ("--bound", "5"), ("--max-samples", "100")
+        )
+    ),
+    ("verify", "--bound", "5"),
+    ("verify", "--max-samples", "100"),
+    ("verify", "--parity-sets", "100"),
+    ("verify", "--quadruples", "50"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS]
+)
+def test_removed_flag_is_unknown(command, flag, value, tmp_path, monkeypatch, capsys):
+    # the query commands sample only the default configuration, and verify
+    # runs its checks at fixed sizes: none of them takes these flags
+    argv = QUERIES.get(command, [command])
+    _assert_unknown(argv, [flag, value], tmp_path, monkeypatch, capsys)
 
 
 def test_verify_with_equal_seeds_is_a_usage_error(monkeypatch, capsys):
@@ -229,16 +275,6 @@ def test_enumerate_checks_the_output_path_before_sampling(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
-@pytest.mark.parametrize("flag", ["--parity-sets", "--quadruples"])
-def test_verify_rejects_empty_check_before_enumerating(flag, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumeration started")
-
-    monkeypatch.setattr("geohom.verify.enumerate_atlases", refuse)
-    assert run(["verify", flag, "0"]) == 2
-    assert "must be positive" in capsys.readouterr().err
-
-
 def test_tampered_atlas_rejected(tmp_path, capsys):
     atlas = tmp_path / "atlas.json"
     run(["enumerate", "--seed", "7", *FAST, "--out", str(atlas)])
@@ -261,16 +297,7 @@ def test_non_utf8_file_is_an_error(tmp_path, capsys):
         assert run([*argv, "--atlas", str(bad)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: atlas file is not UTF-8")
-    rc = run(
-        [
-            "verify",
-            "--atlas", str(bad),
-            "--poset", str(bad),
-            *FAST,
-            "--parity-sets", "100",
-            "--quadruples", "50",
-        ]
-    )
+    rc = run(["verify", "--atlas", str(bad), "--poset", str(bad)])
     captured = capsys.readouterr()
     assert rc == 1
     assert "Traceback" not in captured.out + captured.err
@@ -316,7 +343,7 @@ def test_verify_rejects_deeply_nested_file(
         "geohom.verify.enumerate_atlases",
         lambda cfg: {7: atlases_a, 101: atlases_b}[cfg.seed],
     )
-    rc = run(["verify", flag, str(deep_json), "--parity-sets", "100", "--quadruples", "50"])
+    rc = run(["verify", flag, str(deep_json)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == f"FAILED: {check}\n"
@@ -364,15 +391,7 @@ def test_repeated_class_is_an_error(tmp_path, capsys):
         assert run([*argv, "--atlas", str(dup)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: record 5: same class as record 4"]
-    rc = run(
-        [
-            "verify",
-            "--atlas", str(dup),
-            *FAST,
-            "--parity-sets", "100",
-            "--quadruples", "50",
-        ]
-    )
+    rc = run(["verify", "--atlas", str(dup)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL atlas-counts" in out and "record 5: same class as record 4" in out
@@ -519,16 +538,7 @@ def test_export_rejects_flags_of_other_kinds(tmp_path, capsys, flags, error):
 
 
 def test_verify_passes(capsys):
-    rc = run(
-        [
-            "verify",
-            "--seed", "7",
-            "--seed2", "101",
-            "--max-samples", "100000",
-            "--parity-sets", "300",
-            "--quadruples", "150",
-        ]
-    )
+    rc = run(["verify", "--seed", "7", "--seed2", "101"])
     captured = capsys.readouterr()
     lines = [l for l in captured.out.splitlines() if l]
     assert rc == 0
@@ -542,15 +552,7 @@ def test_verify_flags_truncated_atlas(tmp_path, capsys):
     records = json.loads(atlas.read_text())
     atlas.write_text(json.dumps(records[:18]))
     capsys.readouterr()
-    rc = run(
-        [
-            "verify",
-            "--atlas", str(atlas),
-            "--max-samples", "100000",
-            "--parity-sets", "100",
-            "--quadruples", "50",
-        ]
-    )
+    rc = run(["verify", "--atlas", str(atlas)])
     captured = capsys.readouterr()
     assert rc == 1
     assert "FAIL atlas-counts" in captured.out

@@ -18,7 +18,7 @@ from geohom.morphisms import (
     _edge_preserving_maps,
     _pair_bits,
     brute_force_injective_geo_homomorphisms,
-    brute_force_witness_lists,
+    brute_force_witness_images,
     hom_query,
     injective_geo_homomorphisms,
     is_geo_homomorphism,
@@ -180,24 +180,27 @@ def test_brute_force_reads_no_symmetry_table(cr1, cr3, monkeypatch):
         maps = brute_force_injective_geo_homomorphisms(cr1, cr3)
         assert len(_edge_preserving_maps(cr1.graph, cr3.graph)) == 72
         # the many-pair path, whose image tuples verify's oracle check reads
-        lists = list(brute_force_witness_lists([cr1, cr3], [cr1, cr3]))
+        lists = list(brute_force_witness_images([cr1, cr3], [cr1, cr3]))
     finally:
         _edge_preserving_maps.cache_clear()
         _pair_bits.cache_clear()
     assert maps
-    assert lists[1] == maps and lists[2] == []
+    assert lists[1] == [f.images for f in maps] and lists[2] == []
+
+
+def _images(src, dst):
+    return [f.images for f in brute_force_injective_geo_homomorphisms(src, dst)]
 
 
 def test_witness_lists_are_the_pairwise_brute_force(cr1, cr3, cr9):
+    # the many-pair brute force yields source-major, one list per pair
     drawings = [cr1, cr3, cr9, k33(CR3_POINTS[::-1])]
-    assert list(brute_force_witness_lists(drawings, drawings)) == [
-        brute_force_injective_geo_homomorphisms(src, dst)
-        for src in drawings
-        for dst in drawings
+    assert list(brute_force_witness_images(drawings, drawings)) == [
+        _images(src, dst) for src in drawings for dst in drawings
     ]
     k6 = [k6_on(r) for r in drawings]
-    assert list(brute_force_witness_lists(k6[:2], k6)) == [
-        brute_force_injective_geo_homomorphisms(src, dst) for src in k6[:2] for dst in k6
+    assert list(brute_force_witness_images(k6[:2], k6)) == [
+        _images(src, dst) for src in k6[:2] for dst in k6
     ]
 
 

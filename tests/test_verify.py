@@ -10,9 +10,16 @@ from geohom import reference_data as ref
 from geohom.atlas import ConfigError, assign_paper_labels, mask_images, orbit_signature, save_atlas
 from geohom.exact_geometry import chirotope_code, crossing_mask, segments_cross_rational
 from geohom.invariants import crossing_signature
-from geohom.morphisms import VertexMap, prop_conditions, witness_images
+from geohom.morphisms import (
+    VertexMap,
+    brute_force_injective_geo_homomorphisms,
+    prop_conditions,
+    witness_images,
+)
 from geohom.poset import build_poset, poset_to_json, transitive_reduction
 from geohom.verify import (
+    PARITY_SAMPLE_COUNT,
+    PARITY_SEED,
     VerificationArtifacts,
     _even_bipartition,
     check_atlas_counts,
@@ -26,6 +33,7 @@ from geohom.verify import (
     check_poset_structure,
     check_thickness_claims,
     build_artifacts,
+    pin_reference_labels,
     resolve_reference_labeling,
     run_verification,
 )
@@ -65,6 +73,16 @@ def test_resolution_mismatch_is_the_known_cell(cover_mismatches):
     assert row in ("3.2", "3.3")
 
 
+def test_refuted_cover_cell_on_the_second_seed(atlas_k33_b):
+    # README divergence 2, on verify's second seed: the one refuted cover
+    # cell is (3.2, 5.3), as on the first, and brute force over all 720
+    # injective maps finds none for it
+    pinned, _, mismatches = pin_reference_labels(atlas_k33_b)
+    assert mismatches == [("3.2", "5.3", True)]
+    src, dst = (pinned.find(label).representative for label in ("3.2", "5.3"))
+    assert brute_force_injective_geo_homomorphisms(src, dst) == []
+
+
 def test_pinned_atlas_label_order(pinned_atlas):
     labels = [c.label for c in pinned_atlas.classes]
     assert labels == sorted(
@@ -75,11 +93,7 @@ def test_pinned_atlas_label_order(pinned_atlas):
 
 
 def test_run_verification_quick():
-    results, art = run_verification(
-        max_samples=100_000,
-        parity_sets=200,
-        oracle_quadruples=100,
-    )
+    results, art = run_verification()
     assert [r.name for r in results] == [
         "atlas-counts",
         "crossing-histogram",
@@ -100,7 +114,7 @@ def test_poset_file_validation(tmp_path, hom_poset):
     path = tmp_path / "poset.json"
     path.write_text(poset_to_json(hom_poset))
 
-    art = build_artifacts(max_samples=100_000)
+    art = build_artifacts()
     result = check_poset_structure(art, path)
     assert result.passed, result.detail
 
@@ -178,7 +192,7 @@ def test_build_artifacts_samples_each_seed_once(monkeypatch):
         return point_sets(cfg)
 
     monkeypatch.setattr(atlas, "_point_sets", counted)
-    build_artifacts(max_samples=100_000)
+    build_artifacts()
     assert calls == [7, 101]
 
 
@@ -190,14 +204,6 @@ def test_equal_seeds_rejected_before_enumerating(monkeypatch):
     monkeypatch.setattr("geohom.verify.enumerate_atlases", refuse)
     with pytest.raises(ConfigError, match="seeds must differ"):
         run_verification(7, 7)
-
-
-def test_empty_checks_rejected():
-    # the sizes are validated before the artifacts are read
-    with pytest.raises(ValueError):
-        check_parity_property(0)
-    with pytest.raises(ValueError):
-        check_oracle_equivalence(None, quadruples=0)
 
 
 def test_supplied_atlas_must_be_the_complete_k33_atlas(
@@ -250,7 +256,7 @@ def test_parity_property_covers_every_proven_mask(monkeypatch):
     # an uncrossed "K_6 drawing" has even K_{3,3} crossing counts; the
     # exhaustive part of the check must catch it
     monkeypatch.setattr("geohom.verify.proven_classes", lambda target: {0: 0})
-    result = check_parity_property(1)
+    result = check_parity_property()
     assert not result.passed
     assert result.detail.startswith("even crossing count 0 in the proven K_6 mask 0x0")
 
@@ -261,7 +267,7 @@ def test_parity_property_names_the_sampled_bipartition(monkeypatch):
     # names it
     monkeypatch.setattr("geohom.verify.chirotope_classes", lambda: {})
     monkeypatch.setattr("geohom.verify.crossing_mask", lambda code, n: 0)
-    result = check_parity_property(1)
+    result = check_parity_property()
     assert not result.passed
     assert result.detail.startswith("even crossing count 0 at points")
     assert result.detail.endswith("parts [[0, 1, 2], [3, 4, 5]]")
@@ -332,7 +338,7 @@ def test_parity_property_masks_no_proven_chirotope(monkeypatch):
         return crossing_mask(code, n)
 
     monkeypatch.setattr("geohom.verify.crossing_mask", counted)
-    result = check_parity_property(10_000)
+    result = check_parity_property()
     assert result.passed, result.detail
     assert result.detail.startswith("10000 point sets x 10 bipartitions")
     assert calls == []
@@ -342,7 +348,7 @@ def _samples(count):
     """The parity check's first count point sets in general position, with
     their chirotope codes."""
     out = []
-    for pts in atlas.random_point_sets(20_250_810, 1000):
+    for pts in atlas.random_point_sets(PARITY_SEED, 1000):
         code = chirotope_code(pts)
         if code is not None:
             out.append((pts, code))
@@ -357,7 +363,7 @@ def _sampled_codes(count):
 def test_parity_property_tests_each_mask_once(monkeypatch):
     # the 4,524 proven masks hold every mask the 10,000 samples draw, so the
     # default run makes 4,524 x 10 = 45,240 parity tests, none of them twice
-    masks = [crossing_mask(code, 6) for code in set(_sampled_codes(10_000))]
+    masks = [crossing_mask(code, 6) for code in set(_sampled_codes(PARITY_SAMPLE_COUNT))]
     assert set(masks) <= set(atlas.proven_classes("k6"))
     calls = []
 
@@ -375,7 +381,7 @@ def test_parity_property_tests_each_mask_once(monkeypatch):
 def test_parity_property_tests_sampled_masks_outside_the_proof(monkeypatch):
     # with no chirotope in the proof's table, every sampled point set's
     # mask is tested, after the proven masks
-    samples = _samples(1000)
+    samples = _samples(PARITY_SAMPLE_COUNT)
     calls = []
 
     def counted(mask):
@@ -384,19 +390,19 @@ def test_parity_property_tests_sampled_masks_outside_the_proof(monkeypatch):
 
     monkeypatch.setattr("geohom.verify.chirotope_classes", lambda: {})
     monkeypatch.setattr("geohom.verify._even_bipartition", counted)
-    result = check_parity_property(1000)
+    result = check_parity_property()
     assert result.passed, result.detail
-    assert result.detail.startswith("1000 point sets x 10 bipartitions, and all 4524 proven")
+    assert result.detail.startswith("10000 point sets x 10 bipartitions, and all 4524 proven")
     proven = list(atlas.proven_classes("k6"))
     assert calls == proven + [crossing_mask(code, 6) for _, code in samples]
     # and only a chirotope outside the table is tested: a point set drawn as
     # uncrossed fails at the first such one, named by its points
     codes = [code for _, code in samples]
-    k = next(k for k in range(10, 1000) if codes[k] not in codes[:k])
+    k = next(k for k in range(10, len(codes)) if codes[k] not in codes[:k])
     table = dict.fromkeys(codes[:k], 0)
     monkeypatch.setattr("geohom.verify.chirotope_classes", lambda: table)
     monkeypatch.setattr("geohom.verify.crossing_mask", lambda code, n: 0)
-    result = check_parity_property(1000)
+    result = check_parity_property()
     assert not result.passed
     assert result.detail == (
         f"even crossing count 0 at points {samples[k][0]} parts [[0, 1, 2], [3, 4, 5]]"
@@ -453,7 +459,7 @@ def test_oracle_equivalence_fails_on_a_kernel_disagreement(
         "geohom.verify.rational_crossing_structure",
         lambda r: frozenset(),
     )
-    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    result = check_oracle_equivalence(session_artifacts)
     assert not result.passed
     assert result.detail.startswith(
         "crossing kernel disagrees with the rational predicate on k33 class 1.1"
@@ -467,7 +473,7 @@ def test_oracle_equivalence_fails_on_a_dropped_witness(
         "geohom.verify.witness_images",
         lambda src, dst: witness_images(src, dst)[1:],
     )
-    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    result = check_oracle_equivalence(session_artifacts)
     assert not result.passed
     assert result.detail == "witness table disagrees with brute force on (1.1, 1.1)"
 
@@ -479,7 +485,7 @@ def test_oracle_equivalence_fails_on_a_flipped_order_cell(session_artifacts):
     assert not leq[i][j]
     leq[i][j] = True
     art = replace(session_artifacts, poset=replace(poset, leq=leq))
-    result = check_oracle_equivalence(art, quadruples=10)
+    result = check_oracle_equivalence(art)
     assert not result.passed
     assert result.detail == "order disagrees with brute force on (9.1, 1.1)"
 
@@ -488,7 +494,7 @@ def test_oracle_equivalence_fails_on_a_segment_disagreement(
     session_artifacts, monkeypatch
 ):
     monkeypatch.setattr("geohom.verify.segments_cross_rational", lambda s, t: True)
-    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    result = check_oracle_equivalence(session_artifacts)
     assert not result.passed
     assert result.detail.startswith("predicates disagree on [(")
 
@@ -496,7 +502,7 @@ def test_oracle_equivalence_fails_on_a_segment_disagreement(
 def test_oracle_equivalence_builds_each_sources_images_once(session_artifacts):
     # 19 x 19 witness-table queries read the images of 19 source masks
     mask_images.cache_clear()
-    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    result = check_oracle_equivalence(session_artifacts)
     assert result.passed, result.detail
     info = mask_images.cache_info()
     assert (info.misses, info.hits) == (19, 19 * 19 - 19)
@@ -511,7 +517,7 @@ def test_oracle_equivalence_builds_no_vertex_map(session_artifacts, monkeypatch)
         return VertexMap(*args)
 
     monkeypatch.setattr("geohom.morphisms.VertexMap", counted)
-    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    result = check_oracle_equivalence(session_artifacts)
     assert result.passed, result.detail
     assert built == []
     # the VertexMap forms still wrap the same tuples
@@ -535,7 +541,7 @@ def test_oracle_brute_force_builds_each_sources_images_once(
 
     crossing_images = morphisms._crossing_images
     monkeypatch.setattr("geohom.morphisms._crossing_images", counted)
-    result = check_oracle_equivalence(session_artifacts, quadruples=10)
+    result = check_oracle_equivalence(session_artifacts)
     assert result.passed, result.detail
     assert sources == [c.representative for c in session_artifacts.poset.classes]
 
